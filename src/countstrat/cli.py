@@ -56,13 +56,16 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    try:
+        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}") from None
 
 
 def _grid_spec(args) -> GridSpec:
     return GridSpec(
-        gammas=_float_list(args.gammas) if args.gammas else DEFAULT_GAMMAS,
-        ratios=_float_list(args.ratios) if args.ratios else DEFAULT_RATIOS,
+        gammas=args.gammas,
+        ratios=args.ratios,
         n_seeds=args.cv_seeds,
         beta=args.beta,
         likelihood_kind=LikelihoodKind(args.likelihood),
@@ -70,15 +73,16 @@ def _grid_spec(args) -> GridSpec:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gammas", help="comma-separated gamma grid (default 0.1..0.9)")
-    p.add_argument("--ratios", help="comma-separated held-out ratios (default 0.1,0.2,0.25)")
+    p.add_argument(
+        "--gammas", type=_float_list, default=DEFAULT_GAMMAS,
+        help="comma-separated gamma grid (default 0.1..0.9)",
+    )
+    p.add_argument(
+        "--ratios", type=_float_list, default=DEFAULT_RATIOS,
+        help="comma-separated held-out ratios (default 0.1,0.2,0.25)",
+    )
     p.add_argument("--cv-seeds", type=int, default=DEFAULT_N_SEEDS, help="cross-validation repeats")
-    _add_binning_flags(p)
-
-
-def _add_binning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=int, default=1, help="additive smoothing (default 1)")
-    p.add_argument("--alpha", type=int, default=None, help="cap on the number of bins")
     p.add_argument(
         "--likelihood",
         choices=[k.value for k in LikelihoodKind],
@@ -201,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="partition JSON path (stdout if omitted)")
     p.add_argument("--gamma", type=float, help="fixed gamma (requires --no-tune)")
     p.add_argument("--no-tune", action="store_true", help="skip the gamma grid search")
+    p.add_argument("--alpha", type=int, default=None, help="cap on the number of bins")
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_bin)
 

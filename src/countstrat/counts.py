@@ -64,13 +64,6 @@ class CountHistogram:
         partitioner may place split points between."""
         return tuple(c for c, f in enumerate(self.freqs) if f > 0)
 
-    def to_json_dict(self) -> dict:
-        return {"max_count": self.max_count, "beta": self.smoothing_beta, "freqs": list(self.freqs)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CountHistogram":
-        return cls(int(obj["max_count"]), tuple(int(f) for f in obj["freqs"]), int(obj["beta"]))
-
 
 def ingest_counts(text: str) -> list[CountRecord]:
     """Parse CSV content with header ``id,count`` into count records.

@@ -32,16 +32,8 @@ class BinAssignment:
     clamped_ids: tuple[str, ...] = ()
 
     @property
-    def bin_count(self) -> int:
-        return len(self.by_bin)
-
-    @property
     def total(self) -> int:
         return sum(len(ids) for ids in self.by_bin)
-
-    @property
-    def has_clamped(self) -> bool:
-        return bool(self.clamped_ids)
 
 
 @dataclass(frozen=True)

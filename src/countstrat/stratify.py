@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .counts import CountHistogram
+from .counts import CountHistogram, build_histogram, smooth
 from .errors import RangeError, ValidationError
 
 BRUTE_FORCE_MAX_CELLS = 20
@@ -227,18 +228,8 @@ def partition_log_score(
     return score + prior_log_prob(partition.n_bins, cfg.resolved(len(hist.support)))
 
 
-def _bins_from_starts(support: tuple[int, ...], starts: list[int], max_count: int) -> tuple[Bin, ...]:
-    """Bins from the cell indices starting each block (starts[0] == 0)."""
-    bins = []
-    for k, st in enumerate(starts):
-        lo = 0 if k == 0 else support[st]
-        hi = max_count if k == len(starts) - 1 else support[starts[k + 1]] - 1
-        bins.append(Bin(lo, hi))
-    return tuple(bins)
-
-
 class _CellData:
-    """Per-histogram arrays shared by the DP paths."""
+    """Per-histogram arrays shared by the DP paths and the oracle."""
 
     def __init__(self, hist: CountHistogram):
         support = hist.support
@@ -264,12 +255,17 @@ class _CellData:
 
     @property
     def exact_ties_enabled(self) -> bool:
-        return _exact_ties_enabled(self.n_cells, int(self.mass_cum[-1]))
+        return self.n_cells <= _EXACT_TIE_CELL_LIMIT and int(self.mass_cum[-1]) <= _EXACT_TIE_MASS_LIMIT
 
     def block_end(self, j: int) -> int:
         if j == self.n_cells - 1:
             return self.max_count
         return self.support[j + 1] - 1
+
+    def bins(self, starts: list[int]) -> tuple[Bin, ...]:
+        """Bins from the cell indices starting each block (starts[0] == 0)."""
+        ends = [s - 1 for s in starts[1:]] + [self.n_cells - 1]
+        return tuple(Bin(int(self.lo_arr[s]), self.block_end(e)) for s, e in zip(starts, ends))
 
     def block_scores_ending_at(self, r: int, lgamma_acc: np.ndarray, kind: LikelihoodKind) -> np.ndarray:
         """Scores of blocks (i..r) for i = 0..r; lgamma_acc[i] holds the
@@ -280,41 +276,42 @@ class _CellData:
             return (self.lgam_tab[bmass + 1] - lgamma_acc[: r + 1]) - bmass * self.ln_tab[widths]
         return (bmass * (self.ln_tab[bmass] - self.ln_tab[widths]) - bmass) - lgamma_acc[: r + 1]
 
+    def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float | None) -> Fraction:
+        """Exact rational ranking key of the partition of cells 0..r given by
+        the block start indices.
 
-def _tie_window(top: float) -> float:
-    return _TIE_REL_WINDOW * max(1.0, abs(top))
+        Partition-constant factors (the per-cell factorials and, for Poisson,
+        exp(-total)) are dropped, so keys are only comparable for the same
+        histogram prefix. ``gamma`` of None drops the prior factor too (used
+        where the compared partitions share their bin count).
+        """
+        key = Fraction(1)
+        for start, nxt in zip(starts, starts[1:] + [r + 1]):
+            mass = int(self.mass_cum[nxt] - self.mass_cum[start])
+            width = self.block_end(nxt - 1) - int(self.lo_arr[start]) + 1
+            if kind is LikelihoodKind.MULTINOMIAL:
+                key *= Fraction(math.factorial(mass), width**mass)
+            else:
+                key *= Fraction(mass**mass, width**mass)
+        if gamma is not None:
+            key *= Fraction(gamma) ** len(starts)
+        return key
 
 
-def _exact_ties_enabled(n_cells: int, total: int) -> bool:
-    return n_cells <= _EXACT_TIE_CELL_LIMIT and total <= _EXACT_TIE_MASS_LIMIT
+def _pick(scores: np.ndarray, top: float, tiebreak, exact_key=None) -> int:
+    """Index of the winning candidate; ``top`` is ``scores.max()``.
 
-
-def _exact_partition_key(
-    support, mass_cum, max_count: int, starts: list[int], r: int,
-    kind: LikelihoodKind, gamma: Fraction | None,
-) -> Fraction:
-    """Exact rational ranking key of the partition of cells 0..r given by
-    the block start indices.
-
-    Partition-constant factors (the per-cell factorials and, for Poisson,
-    exp(-total)) are dropped, so keys are only comparable for the same
-    histogram prefix. ``gamma`` of None drops the prior factor too (used
-    where the compared partitions share their bin count).
+    The one rule for every tie in this module: candidates within the
+    relative window _TIE_REL_WINDOW of ``top`` are ranked by ``exact_key``
+    when given (exact re-ranking), else by whether they hit ``top``
+    exactly, and the remaining ties go to the largest ``tiebreak(k)``.
     """
-    key = Fraction(1)
-    for k, start in enumerate(starts):
-        j_end = (starts[k + 1] - 1) if k + 1 < len(starts) else r
-        mass = int(mass_cum[j_end + 1] - mass_cum[start])
-        lo = 0 if start == 0 else support[start]
-        hi = max_count if j_end == len(support) - 1 else support[j_end + 1] - 1
-        width = hi - lo + 1
-        if kind is LikelihoodKind.MULTINOMIAL:
-            key *= Fraction(math.factorial(mass), width**mass)
-        else:
-            key *= Fraction(mass**mass, width**mass)
-    if gamma is not None:
-        key *= gamma ** len(starts)
-    return key
+    near = np.flatnonzero(scores >= top - _TIE_REL_WINDOW * max(1.0, abs(top)))
+    if len(near) == 1:
+        return int(near[0])
+    if exact_key is None:
+        return max((int(k) for k in near), key=lambda k: (scores[k] == top, tiebreak(k)))
+    return max((int(k) for k in near), key=lambda k: (exact_key(k), tiebreak(k)))
 
 
 def _starts_from_last(last: np.ndarray, r: int) -> list[int]:
@@ -342,14 +339,17 @@ def _dp_uncapped(cells: _CellData, ln_gamma: float, gamma: float, kind: Likeliho
     (see _TIE_REL_WINDOW) when the instance is small enough.
     """
     m = cells.n_cells
-    exact = cells.exact_ties_enabled
-    gamma_fr = Fraction(gamma) if exact else None
     best = np.empty(m)
     nbins = np.empty(m, dtype=np.int64)
     last = np.empty(m, dtype=np.int64)
     acc = np.zeros(m)
     prev = np.empty(m)
     nb = np.empty(m, dtype=np.int64)
+    # both read the loop's current r and nb when called
+    fewer_then_earlier = lambda i: (-nb[i], -i)
+    key = None
+    if cells.exact_ties_enabled:
+        key = lambda i: cells.exact_key(_starts_from_last(last, i - 1) + [i], r, kind, gamma)
     for r in range(m):
         acc[: r + 1] += cells.cell_lg[r]
         scores = cells.block_scores_ending_at(r, acc, kind)
@@ -359,23 +359,7 @@ def _dp_uncapped(cells: _CellData, ln_gamma: float, gamma: float, kind: Likeliho
         top = float(cand.max())
         nb[0] = 1
         nb[1 : r + 1] = nbins[:r] + 1
-        near = np.flatnonzero(cand >= top - _tie_window(top))
-        if len(near) == 1:
-            pick = int(near[0])
-        elif exact:
-            ranked = []
-            for i in (int(x) for x in near):
-                starts_i = _starts_from_last(last, i - 1) + [i]
-                key = _exact_partition_key(
-                    cells.support, cells.mass_cum, cells.max_count, starts_i, r, kind, gamma_fr
-                )
-                ranked.append((key, -int(nb[i]), -i))
-            want = max(ranked)
-            pick = -want[2]
-        else:
-            tie = cand == top
-            nb_best = nb[: r + 1][tie].min()
-            pick = int(np.argmax(tie & (nb[: r + 1] == nb_best)))
+        pick = _pick(cand, top, fewer_then_earlier, key)
         # store the float group maximum so chain error stays at ulp scale
         best[r] = top
         nbins[r] = nb[pick]
@@ -396,67 +380,41 @@ def _starts_from_back(back: np.ndarray, b: int, r: int) -> list[int]:
 def _dp_capped(cells: _CellData, ln_gamma: float, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
     """Two-dimensional DP over (bin count, cells) for alpha below the cell count."""
     m = cells.n_cells
-    exact = cells.exact_ties_enabled
-    gamma_fr = Fraction(gamma) if exact else None
-    neg_inf = float("-inf")
-    score = np.full((alpha + 1, m), neg_inf)
+    score = np.full((alpha + 1, m), float("-inf"))
     back = np.zeros((alpha + 1, m), dtype=np.int64)
     acc = np.zeros(m)
+    layer_key = final_key = None
+    if cells.exact_ties_enabled:
+        # reads the loop's current b and r when called; the bin count is
+        # fixed within a layer, so the key drops the prior factor
+        layer_key = lambda off: cells.exact_key(
+            _starts_from_back(back, b - 1, off + b - 2) + [off + b - 1], r, kind, None
+        )
+        final_key = lambda k: cells.exact_key(_starts_from_back(back, k + 1, m - 1), m - 1, kind, gamma)
     for r in range(m):
         acc[: r + 1] += cells.cell_lg[r]
         blocks = cells.block_scores_ending_at(r, acc, kind)
         score[1][r] = blocks[0]
         back[1][r] = 0
         for b in range(2, min(alpha, r + 1) + 1):
-            # last block starts at i >= b-1; prior layer indexed at i-1
+            # last block starts at i = offset + b-1; prior layer indexed at i-1
             cand = score[b - 1][b - 2 : r] + blocks[b - 1 : r + 1]
             top = float(cand.max())
-            if top == neg_inf:
-                continue
-            near = np.flatnonzero(cand >= top - _tie_window(top))
-            if len(near) == 1:
-                pick = int(near[0])
-            elif exact:
-                # bin count is fixed within the layer: drop the prior factor
-                ranked = []
-                for offset in (int(x) for x in near):
-                    i = offset + (b - 1)
-                    starts_i = _starts_from_back(back, b - 1, i - 1) + [i]
-                    key = _exact_partition_key(
-                        cells.support, cells.mass_cum, cells.max_count, starts_i, r, kind, None
-                    )
-                    ranked.append((key, -i))
-                pick = -(max(ranked)[1]) - (b - 1)
-            else:
-                pick = int(np.argmax(cand == top))
             score[b][r] = top
-            back[b][r] = pick + (b - 1)
-    finals = []
-    for b in range(1, alpha + 1):
-        if score[b][m - 1] == neg_inf:
-            continue
-        finals.append((float(score[b][m - 1] + b * ln_gamma), b))
-    top_total = max(t for t, _ in finals)
-    near_b = [b for t, b in finals if t >= top_total - _tie_window(top_total)]
-    if len(near_b) == 1 or not exact:
-        best_b = near_b[0] if len(near_b) == 1 else _best_final_float(finals, top_total)
-    else:
-        ranked = []
-        for b in near_b:
-            starts_b = _starts_from_back(back, b, m - 1)
-            key = _exact_partition_key(
-                cells.support, cells.mass_cum, cells.max_count, starts_b, m - 1, kind, gamma_fr
-            )
-            ranked.append((key, -b))
-        best_b = -(max(ranked)[1])
+            back[b][r] = _pick(cand, top, operator.neg, layer_key) + (b - 1)
+    # candidate k has k + 1 bins
+    finals = score[1:, m - 1] + np.arange(1, alpha + 1) * ln_gamma
+    best_b = _pick(finals, float(finals.max()), operator.neg, final_key) + 1
     return _starts_from_back(back, best_b, m - 1)
 
 
-def _best_final_float(finals: list[tuple[float, int]], top_total: float) -> int:
-    for total, b in finals:  # ascending b: first exact top wins = fewest bins
-        if total == top_total:
-            return b
-    raise AssertionError("unreachable")
+def _scored(
+    hist: CountHistogram, cells: _CellData, starts: list[int], cfg: PriorConfig, kind: LikelihoodKind
+) -> Partition:
+    """The partition given by the block starts, with map_score recomputed
+    by partition_log_score so it matches direct rescoring bit for bit."""
+    partition = Partition(cells.bins(starts), 0.0, cfg.gamma, kind)
+    return replace(partition, map_score=partition_log_score(hist, partition, cfg, kind))
 
 
 def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
@@ -475,87 +433,55 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
         starts = _dp_uncapped(cells, ln_gamma, cfg.gamma, kind)
     else:
         starts = _dp_capped(cells, ln_gamma, cfg.gamma, rcfg.alpha, kind)
-    bins = _bins_from_starts(cells.support, starts, hist.max_count)
-    partition = Partition(bins, 0.0, cfg.gamma, kind)
-    score = partition_log_score(hist, partition, rcfg, kind)
-    return Partition(bins, score, cfg.gamma, kind)
+    return _scored(hist, cells, starts, rcfg, kind)
 
 
 def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
     """Exhaustive maximizer over all 2^(M-1) contiguous partitions.
 
     Verification oracle for optimal_partition; refuses more than
-    BRUTE_FORCE_MAX_CELLS cells. Applies the same tie-breaking rule:
-    fewer bins first, then the lexicographically smallest reversed
-    split sequence (i.e. earlier last split).
+    BRUTE_FORCE_MAX_CELLS cells. Blocks are scored independently of the DP
+    with bin_log_likelihood; ties resolve by the same rule: fewer bins
+    first, then the lexicographically smallest reversed split sequence
+    (i.e. earlier last split).
     """
     if hist.total <= 0:
         raise ValidationError("histogram must have positive total mass")
-    support = hist.support
-    m = len(support)
+    m = len(hist.support)
     if m > BRUTE_FORCE_MAX_CELLS:
         raise ValidationError(
             f"brute force refuses {m} cells (limit {BRUTE_FORCE_MAX_CELLS}): 2^(M-1) partitions"
         )
+    cells = _CellData(hist)
     rcfg = cfg.resolved(m)
     ln_gamma = math.log(cfg.gamma)
-    mass_cum = [0]
-    for c in support:
-        mass_cum.append(mass_cum[-1] + hist.freqs[c])
-    exact = _exact_ties_enabled(m, mass_cum[-1])
-    gamma_fr = Fraction(cfg.gamma) if exact else None
     table = {}
     for i in range(m):
-        lo = 0 if i == 0 else support[i]
         for j in range(i, m):
-            hi = hist.max_count if j == m - 1 else support[j + 1] - 1
-            table[(i, j)] = bin_log_likelihood(hist, lo, hi, kind)
+            table[(i, j)] = bin_log_likelihood(hist, int(cells.lo_arr[i]), cells.block_end(j), kind)
 
-    candidates = []
+    cands, ranks = [], []
     for mask in range(1 << (m - 1)):
         starts = [0] + [t + 1 for t in range(m - 1) if mask >> t & 1]
         if len(starts) > rcfg.alpha:
             continue
         rank = 0.0
-        for k, st in enumerate(starts):
-            en = (starts[k + 1] - 1) if k + 1 < len(starts) else m - 1
-            rank = (rank + table[(st, en)]) + ln_gamma
-        candidates.append((rank, starts))
-    top = max(rank for rank, _ in candidates)
-    near = [
-        (rank, starts)
-        for rank, starts in candidates
-        if rank >= top - _tie_window(top)
-    ]
-    if len(near) == 1:
-        best_starts = near[0][1]
-    elif exact:
-        # re-rank the near-tied set exactly, mirroring the DP's resolution
-        ranked = []
-        for _, starts in near:
-            key = _exact_partition_key(
-                support, mass_cum, hist.max_count, starts, m - 1, kind, gamma_fr
-            )
-            ranked.append((key, -len(starts), tuple(-s for s in reversed(starts)), starts))
-        best_starts = max(ranked)[3]
-    else:
-        float_ties = [
-            (len(starts), tuple(reversed(starts)), starts)
-            for rank, starts in near
-            if rank == top
-        ]
-        best_starts = min(float_ties)[2]
-    bins = _bins_from_starts(support, best_starts, hist.max_count)
-    partition = Partition(bins, 0.0, cfg.gamma, kind)
-    score = partition_log_score(hist, partition, rcfg, kind)
-    return Partition(bins, score, cfg.gamma, kind)
+        for st, nxt in zip(starts, starts[1:] + [m]):
+            rank = (rank + table[(st, nxt - 1)]) + ln_gamma
+        cands.append(starts)
+        ranks.append(rank)
+    ranks = np.array(ranks)
+    fewer_then_earlier = lambda k: (-len(cands[k]), tuple(-s for s in reversed(cands[k])))
+    key = None
+    if cells.exact_ties_enabled:
+        key = lambda k: cells.exact_key(cands[k], m - 1, kind, cfg.gamma)
+    pick = _pick(ranks, float(ranks.max()), fewer_then_earlier, key)
+    return _scored(hist, cells, cands[pick], rcfg, kind)
 
 
 def fit_partition(records, cfg: BinningConfig) -> Partition:
     """Smooth the records' histogram and fit the MAP partition directly
     (no gamma grid search)."""
-    from .counts import build_histogram, smooth
-
     hist = smooth(build_histogram(records), cfg.beta)
     return optimal_partition(hist, cfg.prior, cfg.likelihood_kind)
 

@@ -183,6 +183,18 @@ class TestTuneCommand:
         assert sum(doc["index_sums"].values()) == 2 * 3  # |ratios| * (0+1+2)
         assert str(doc["gamma_best"]) in {k for k in doc["index_sums"]} or doc["gamma_best"] in (0.2, 0.5, 0.8)
 
+    @pytest.mark.parametrize("flag, value", [("--gammas", "abc"), ("--ratios", "0.1,x")])
+    def test_bad_float_list_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", str(FIXTURES / "counts50.csv"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_alpha_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", str(FIXTURES / "counts50.csv"), "--alpha", "3"])
+        assert exc.value.code == 2
+
 
 class TestGoldenOutputs:
     def test_loss_reproduces_golden(self, tmp_path):

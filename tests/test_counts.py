@@ -129,10 +129,6 @@ class TestHistogramType:
         h = CountHistogram(4, (1, 0, 3, 0, 2))
         assert h.support == (0, 2, 4)
 
-    def test_json_round_trip(self):
-        h = CountHistogram(2, (3, 1, 2), smoothing_beta=1)
-        assert CountHistogram.from_json_dict(h.to_json_dict()) == h
-
     def test_record_rejects_negative(self):
         with pytest.raises(ValidationError):
             CountRecord("a", -1)

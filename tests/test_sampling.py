@@ -58,7 +58,7 @@ class TestAssignBins:
         recs = [CountRecord("a", 5), CountRecord("b", 50)]
         asg = assign_bins(recs, part)
         assert asg.by_bin == (("a",), ("b",))
-        assert not asg.has_clamped
+        assert asg.clamped_ids == ()
 
     def test_hi_boundary_inclusive(self):
         part = make_partition([(0, 10), (11, 99)])
@@ -70,7 +70,6 @@ class TestAssignBins:
         asg = assign_bins([CountRecord("big", 120)], part)
         assert asg.by_bin == ((), ("big",))
         assert asg.clamped_ids == ("big",)
-        assert asg.has_clamped
 
     def test_order_preserved_within_bin(self):
         part = make_partition([(0, 99)])
@@ -79,7 +78,7 @@ class TestAssignBins:
 
     def test_counts(self):
         asg = make_assignment([2, 0, 3])
-        assert asg.bin_count == 3
+        assert len(asg.by_bin) == 3
         assert asg.total == 5
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countstrat import (
     Bin,
@@ -278,6 +280,37 @@ class TestOptimalPartition:
         h = CountHistogram(1199, freqs)
         p = optimal_partition(h, PriorConfig(0.2), MULTI)
         assert p.bins[0].lo == 0 and p.bins[-1].hi == 1199
+
+
+@pytest.mark.parametrize("fit", [optimal_partition, brute_force_partition])
+class TestTieRule:
+    """The documented tie rule, pinned by hand so it does not rest on the
+    oracle agreeing with the DP (both share one resolver)."""
+
+    def test_exact_tie_goes_to_fewer_bins(self, fit):
+        # one bin and two unit bins score exactly the same at gamma = 0.5
+        h = CountHistogram(1, (1, 1))
+        assert fit(h, PriorConfig(0.5), MULTI).bins == (Bin(0, 1),)
+
+    def test_mirror_tie_goes_to_earlier_split(self, fit):
+        h = CountHistogram(2, (3, 7, 3))
+        assert fit(h, PriorConfig(0.5, 2), MULTI).bins == (Bin(0, 0), Bin(1, 2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    freqs=st.lists(st.integers(0, 30), min_size=1, max_size=10).filter(any),
+    gamma=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+    alpha=st.sampled_from((None, 1, 2, 3)),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_dp_equals_oracle(freqs, gamma, alpha, kind):
+    h = CountHistogram(len(freqs) - 1, tuple(freqs))
+    cfg = PriorConfig(gamma, alpha)
+    dp = optimal_partition(h, cfg, kind)
+    bf = brute_force_partition(h, cfg, kind)
+    assert dp.bins == bf.bins
+    assert dp.map_score == bf.map_score
 
 
 class TestBruteForce:
