@@ -62,6 +62,13 @@ def _float_list(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}") from None
 
 
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return value
+
+
 def _grid_spec(args) -> GridSpec:
     return GridSpec(
         gammas=args.gammas,
@@ -102,22 +109,12 @@ def _cmd_bin(args) -> int:
             likelihood_kind=LikelihoodKind(args.likelihood),
         )
         partition = fit_partition(records, cfg)
-    elif args.gamma is not None:
-        raise _Usage("--gamma is only honored together with --no-tune")
+    elif args.gamma is not None or args.alpha is not None:
+        raise _Usage("--gamma and --alpha are only honored together with --no-tune")
     else:
-        partition = optimal_bins(records, _grid_spec(args), alpha=args.alpha)
-    alpha = args.alpha if args.alpha is not None else _support_size(records, args.beta)
-    doc = partition_to_json_dict(partition, alpha, args.beta)
-    _write_output(jsonfmt.dumps(doc), args.output)
+        partition = optimal_bins(records, _grid_spec(args))
+    _write_output(jsonfmt.dumps(partition_to_json_dict(partition, args.beta)), args.output)
     return 0
-
-
-def _support_size(records, beta: int) -> int:
-    # the vacuous default cap resolves to the smoothed histogram's cell count
-    from .counts import build_histogram, smooth
-
-    hist = smooth(build_histogram(records), beta)
-    return len(hist.support)
 
 
 def _cmd_tune(args) -> int:
@@ -129,7 +126,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_plan(args) -> int:
     records = ingest_counts(_read_text(args.counts_csv))
-    partition, _, _ = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
+    partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
     assignment = assign_bins(records, partition)
     plan = plan_epoch(assignment, args.batch_size, args.seed, SamplingScheme(args.scheme))
     _write_output(jsonfmt.dumps(plan_to_json_dict(plan)), args.output)
@@ -137,13 +134,14 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_loss(args) -> int:
+    cfg = LossConfig(args.lambda1, args.lambda2)
     preds = parse_predictions(_read_text(args.preds_csv))
-    partition, _, _ = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
+    partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
     lines = ["id,y,y_hat,bin_lo,bin_hi,bin_loss"]
     for rec in preds:
-        value, b = routed_bin_loss(rec.y, rec.y_hat, partition.bins, args.lambda1)
+        value, b = routed_bin_loss(rec.y, rec.y_hat, partition.bins, cfg.lambda1)
         lines.append(
-            f"{rec.id},{rec.y},{format_float(rec.y_hat)},{b.lo},{b.hi},{format_float(value)}"
+            f"{rec.id},{rec.y},{format_float(rec.y_hat)},{b.lo},{b.hi},{format_float(cfg.lambda2 * value)}"
         )
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
@@ -151,7 +149,7 @@ def _cmd_loss(args) -> int:
 
 def _cmd_eval(args) -> int:
     preds = parse_predictions(_read_text(args.preds_csv))
-    partition, _, _ = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
+    partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
     report = evaluate(preds, partition)
     _write_output(jsonfmt.dumps(report_json_dict(report)), args.output)
     if args.plot_csv:
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="partition JSON path (stdout if omitted)")
     p.add_argument("--gamma", type=float, help="fixed gamma (requires --no-tune)")
     p.add_argument("--no-tune", action="store_true", help="skip the gamma grid search")
-    p.add_argument("--alpha", type=int, default=None, help="cap on the number of bins")
+    p.add_argument("--alpha", type=int, default=None, help="cap on the number of bins (requires --no-tune)")
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_bin)
 
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition_json")
     p.add_argument("--scheme", choices=[s.value for s in SamplingScheme], required=True)
     p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_plan)
 
@@ -246,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-count", type=int, default=SynthSpec.max_count)
     p.add_argument("--noise-spread", type=float, default=SynthSpec.noise_spread)
     p.add_argument("--noise-bias", type=float, default=SynthSpec.noise_bias)
-    p.add_argument("--seed", type=int, default=0, help="first comparison seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="first comparison seed")
     p.add_argument("--seeds", type=int, default=10, help="number of comparison seeds")
     p.add_argument("--gamma", type=float, default=DEFAULT_SYNTH_BINNING.gamma)
     p.add_argument("--alpha", type=int, default=DEFAULT_SYNTH_BINNING.alpha)

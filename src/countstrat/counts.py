@@ -15,6 +15,8 @@ from .errors import ParseError, ValidationError
 
 CSV_HEADER = ("id", "count")
 
+MAX_COUNT = 1_000_000  # histograms are dense over [0, C]: reject a huge count, never allocate it
+
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -65,35 +67,45 @@ class CountHistogram:
         return tuple(c for c, f in enumerate(self.freqs) if f > 0)
 
 
+def csv_rows(text: str, header: tuple[str, ...]):
+    """Yield (line number, row) for every non-blank data row of CSV text after
+    the shared checks: optional leading BOM, exact header, field count and a
+    non-empty first-field id. Raises ParseError naming the line."""
+    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    expected = ",".join(header)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise ParseError(f"line 1: missing header '{expected}'") from None
+    if tuple(h.strip() for h in first) != header:
+        raise ParseError(f"line 1: expected header '{expected}', got {','.join(first)!r}")
+    n_fields = len(header)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise ParseError(f"line {reader.line_num}: expected {n_fields} fields, got {len(row)}")
+        if not row[0]:
+            raise ParseError(f"line {reader.line_num}: empty id")
+        yield reader.line_num, row
+
+
 def ingest_counts(text: str) -> list[CountRecord]:
     """Parse CSV content with header ``id,count`` into count records.
 
-    Raises ParseError on malformed rows (naming the line number) and
-    ValidationError on duplicate ids or negative counts.
+    Raises ParseError on malformed rows or counts above MAX_COUNT (naming
+    the line number) and ValidationError on duplicate ids or negative counts.
     """
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: missing header 'id,count'") from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ParseError(f"line 1: expected header 'id,count', got {','.join(header)!r}")
-
     records: list[CountRecord] = []
     seen: set[str] = set()
-    for row in reader:
-        lineno = reader.line_num
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"line {lineno}: expected 2 fields, got {len(row)}")
+    for lineno, row in csv_rows(text, CSV_HEADER):
         sample_id, raw = row[0], row[1].strip()
-        if not sample_id:
-            raise ParseError(f"line {lineno}: empty id")
         try:
             count = int(raw)
         except ValueError:
             raise ParseError(f"line {lineno}: count {raw!r} is not an integer") from None
+        if count > MAX_COUNT:
+            raise ParseError(f"line {lineno}: count {count} exceeds the limit {MAX_COUNT}")
         if count < 0:
             raise ValidationError(f"line {lineno}: negative count {count} for id {sample_id!r}")
         if sample_id in seen:
@@ -103,24 +115,12 @@ def ingest_counts(text: str) -> list[CountRecord]:
     return records
 
 
-def build_histogram(records: list[CountRecord], max_count_override: int | None = None) -> CountHistogram:
-    """Aggregate records into an unsmoothed histogram over [0, C].
-
-    C is the maximum observed count, or ``max_count_override`` when that is
-    given and at least as large (so validation/test data can be binned
-    against a training-range histogram).
-    """
-    if not records and max_count_override is None:
-        raise ValidationError("need at least one record or an explicit max_count_override")
-    observed_max = max((r.count for r in records), default=0)
-    if max_count_override is not None:
-        if records and max_count_override < observed_max:
-            raise ValidationError(
-                f"max_count_override {max_count_override} is below the max observed count {observed_max}"
-            )
-        max_count = max_count_override
-    else:
-        max_count = observed_max
+def build_histogram(records: list[CountRecord]) -> CountHistogram:
+    """Aggregate records into an unsmoothed histogram over [0, C], where C
+    is the maximum observed count."""
+    if not records:
+        raise ValidationError("need at least one record")
+    max_count = max(r.count for r in records)
     freqs = [0] * (max_count + 1)
     for r in records:
         freqs[r.count] += 1

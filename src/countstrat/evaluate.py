@@ -9,13 +9,12 @@ reported alongside.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .counts import csv_rows
 from .errors import ParseError, ValidationError
 from .jsonfmt import format_float
 from .stratify import Bin, Partition, locate_bin
@@ -56,25 +55,9 @@ class EvalReport:
 
 def parse_predictions(text: str) -> list[PredictionRecord]:
     """Parse CSV with header ``id,count_true,count_pred``."""
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: missing header 'id,count_true,count_pred'") from None
-    if tuple(h.strip() for h in header) != PRED_CSV_HEADER:
-        raise ParseError(
-            f"line 1: expected header 'id,count_true,count_pred', got {','.join(header)!r}"
-        )
     records = []
-    for row in reader:
-        lineno = reader.line_num
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+    for lineno, row in csv_rows(text, PRED_CSV_HEADER):
         sample_id = row[0]
-        if not sample_id:
-            raise ParseError(f"line {lineno}: empty id")
         try:
             y = int(row[1].strip())
             y_hat = float(row[2].strip())

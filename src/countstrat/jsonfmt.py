@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+from .errors import ParseError
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -65,4 +67,7 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}: {exc.msg}") from None

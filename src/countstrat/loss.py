@@ -20,8 +20,8 @@ class LossConfig:
     lambda2: float = 1.0  # weight of the whole term when added to a model loss
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValidationError("lambda1 and lambda2 must be >= 0")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ValidationError("lambda1 and lambda2 must be finite and >= 0")
 
 
 def _piecewise(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:

@@ -120,12 +120,14 @@ class BinningConfig:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered, contiguous, exhaustive bins over [0, C] with their MAP score."""
+    """Ordered, contiguous, exhaustive bins over [0, C] with their MAP score and
+    the resolved bin-count cap ``alpha`` it was scored under (None if not fit)."""
 
     bins: tuple[Bin, ...]
     map_score: float
     gamma_used: float
     likelihood_kind: LikelihoodKind
+    alpha: int | None = None
 
     def __post_init__(self):
         if not self.bins:
@@ -413,7 +415,7 @@ def _scored(
 ) -> Partition:
     """The partition given by the block starts, with map_score recomputed
     by partition_log_score so it matches direct rescoring bit for bit."""
-    partition = Partition(cells.bins(starts), 0.0, cfg.gamma, kind)
+    partition = Partition(cells.bins(starts), 0.0, cfg.gamma, kind, cfg.alpha)
     return replace(partition, map_score=partition_log_score(hist, partition, cfg, kind))
 
 
@@ -486,10 +488,12 @@ def fit_partition(records, cfg: BinningConfig) -> Partition:
     return optimal_partition(hist, cfg.prior, cfg.likelihood_kind)
 
 
-def partition_to_json_dict(partition: Partition, alpha: int, beta: int) -> dict:
+def partition_to_json_dict(partition: Partition, beta: int) -> dict:
+    if partition.alpha is None:
+        raise ValidationError("partition has no resolved alpha; only fitted partitions can be exported")
     return {
         "gamma": partition.gamma_used,
-        "alpha": alpha,
+        "alpha": partition.alpha,
         "beta": beta,
         "likelihood": partition.likelihood_kind.value,
         "map_score": partition.map_score,
@@ -497,8 +501,9 @@ def partition_to_json_dict(partition: Partition, alpha: int, beta: int) -> dict:
     }
 
 
-def partition_from_json_dict(obj: dict) -> tuple[Partition, int, int]:
-    """Parse the partition export schema; returns (partition, alpha, beta)."""
+def partition_from_json_dict(obj: dict) -> Partition:
+    """Parse the partition export schema; ``beta`` must be an integer but is
+    not carried by the Partition."""
     try:
         bins = tuple(Bin(int(b["lo"]), int(b["hi"])) for b in obj["bins"])
         partition = Partition(
@@ -506,7 +511,9 @@ def partition_from_json_dict(obj: dict) -> tuple[Partition, int, int]:
             float(obj["map_score"]),
             float(obj["gamma"]),
             LikelihoodKind(obj["likelihood"]),
+            int(obj["alpha"]),
         )
-        return partition, int(obj["alpha"]), int(obj["beta"])
+        int(obj["beta"])
+        return partition
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad partition document: {exc}") from None

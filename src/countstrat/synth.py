@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counts import CountRecord, build_histogram, smooth
+from .counts import CountRecord
 from .errors import ValidationError
 from .evaluate import EvalReport, PredictionRecord, evaluate
 from .loss import LossConfig, routed_bin_loss, routed_bin_loss_subgradient
 from .sampling import SamplingScheme, assign_bins, plan_epoch
-from .stratify import BinningConfig, Partition, optimal_partition
+from .stratify import BinningConfig, Partition, fit_partition
 from .tuning import split_records
 
 SCHEMES = ("none", "rr", "rs")
@@ -194,8 +194,7 @@ def run_comparison(
     for run_index, seed in enumerate(seeds):
         records, features = generate_dataset(replace(spec, seed=seed))
         train, test = split_records(records, trainer.holdout_ratio, seed)
-        hist = smooth(build_histogram(train), binning.beta)
-        partition = optimal_partition(hist, binning.prior, binning.likelihood_kind)
+        partition = fit_partition(train, binning)
         for scheme in SCHEMES:
             fit = fit_toy_regressor(train, features, partition, trainer, scheme, seed)
             preds = [

@@ -16,7 +16,7 @@ import numpy as np
 
 from .counts import CountRecord, build_histogram, smooth
 from .errors import ValidationError
-from .stratify import LikelihoodKind, Partition, PriorConfig, locate_bin, optimal_partition
+from .stratify import BinningConfig, LikelihoodKind, Partition, PriorConfig, fit_partition, locate_bin, optimal_partition
 
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
@@ -138,11 +138,10 @@ def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
     )
 
 
-def optimal_bins(records: list[CountRecord], spec: GridSpec, alpha: int | None = None) -> Partition:
-    """Grid-search gamma, then fit bins on the full smoothed histogram."""
-    selection = select_gamma(records, spec)
-    hist = smooth(build_histogram(records), spec.beta)
-    return optimal_partition(hist, PriorConfig(selection.gamma_best, alpha), spec.likelihood_kind)
+def optimal_bins(records: list[CountRecord], spec: GridSpec) -> Partition:
+    """Grid-search gamma, then fit uncapped bins on all the records."""
+    gamma = select_gamma(records, spec).gamma_best
+    return fit_partition(records, BinningConfig(gamma, None, spec.beta, spec.likelihood_kind))
 
 
 def tuning_report_json_dict(selection: GammaSelection) -> dict:

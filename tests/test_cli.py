@@ -24,8 +24,8 @@ class TestBinCommand:
         assert rc == 0
         records = ingest_counts(read(FIXTURES / "counts50.csv"))
         part = fit_partition(records, BinningConfig(gamma=0.5))
-        alpha = part.max_count + 1  # smoothed support is every cell
-        assert read(out) == jsonfmt.dumps(partition_to_json_dict(part, alpha, 1))
+        assert part.alpha == part.max_count + 1  # smoothed support is every cell
+        assert read(out) == jsonfmt.dumps(partition_to_json_dict(part, 1))
 
     def test_missing_file_fails(self, capsys):
         rc = main(["bin", "definitely_missing.csv"])
@@ -41,6 +41,18 @@ class TestBinCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune"])
         assert exc.value.code == 2
+
+    def test_alpha_without_no_tune_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", str(FIXTURES / "counts50.csv"), "--alpha", "3"])
+        assert exc.value.code == 2
+        assert "--no-tune" in capsys.readouterr().err
+
+    def test_no_tune_alpha_caps_bins(self, capsys):
+        rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.9", "--alpha", "2"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alpha"] == 2 and len(doc["bins"]) <= 2
 
     def test_stdout_default(self, capsys):
         rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.3"])
@@ -65,6 +77,25 @@ class TestPlanCommand:
         with pytest.raises(SystemExit) as exc:
             main(["plan", "x.csv", "y.json", "--scheme", "zz", "--batch-size", "4"])
         assert exc.value.code == 2
+
+    def test_negative_seed_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "plan", str(FIXTURES / "counts50.csv"), str(FIXTURES / "golden_partition.json"),
+                "--scheme", "rr", "--batch-size", "4", "--seed", "-1",
+            ])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
+    def test_non_json_partition_fails(self, tmp_path, capsys):
+        part = tmp_path / "part.json"
+        part.write_text('{"gamma": 0.5,\n  oops\n')
+        rc = main([
+            "plan", str(FIXTURES / "counts50.csv"), str(part), "--scheme", "rr", "--batch-size", "4",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and err.count("\n") == 1
 
     def test_zero_batch_size_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -148,6 +179,28 @@ class TestLossCommand:
         assert rc == 0
         assert read(out) == "id,y,y_hat,bin_lo,bin_hi,bin_loss\n"
 
+    def test_lambda2_scales_bin_loss(self, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,count_true,count_pred\nin,45,48\nout,45,60\n")
+        part = self.make_partition_file(tmp_path)
+        rows = {}
+        for lam2 in ("1", "2"):
+            out = tmp_path / f"loss{lam2}.csv"
+            assert main(["loss", str(preds), str(part), "--lambda2", lam2, "-o", str(out)]) == 0
+            rows[lam2] = [line.split(",") for line in read(out).splitlines()[1:]]
+        for one, two in zip(rows["1"], rows["2"]):
+            assert two[:-1] == one[:-1]
+            assert float(two[-1]) == 2 * float(one[-1])
+
+    @pytest.mark.parametrize("flag, value", [("--lambda1", "-1"), ("--lambda2", "nan"), ("--lambda2", "inf")])
+    def test_bad_lambda_fails(self, flag, value, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,count_true,count_pred\nin,45,48\n")
+        rc = main(["loss", str(preds), str(self.make_partition_file(tmp_path)), flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_malformed_predictions_fail(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"
         preds.write_text("id,count_true,count_pred\na,oops,1\n")
@@ -167,6 +220,12 @@ class TestSynthCommand:
         assert doc["seeds"] == [0, 1]
         assert set(doc["win_counts"]) == {"rr", "rs"}
         assert len(doc["pooled_std_by_seed"]["none"]) == 2
+
+    def test_negative_seed_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--seed", "-1", "--seeds", "1"])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
 
 
 class TestTuneCommand:

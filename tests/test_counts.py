@@ -8,8 +8,10 @@ from countstrat import (
     ValidationError,
     build_histogram,
     ingest_counts,
+    parse_predictions,
     smooth,
 )
+from countstrat.counts import MAX_COUNT
 
 
 class TestIngest:
@@ -51,6 +53,34 @@ class TestIngest:
         recs = ingest_counts("id,count\nz,5\na,3\nm,5")
         assert [r.id for r in recs] == ["z", "a", "m"]
 
+    def test_count_limit(self):
+        recs = ingest_counts(f"id,count\na,{MAX_COUNT}")
+        assert recs[0].count == MAX_COUNT
+        with pytest.raises(ParseError, match=f"line 3: count {MAX_COUNT + 1} exceeds the limit"):
+            ingest_counts(f"id,count\na,1\nb,{MAX_COUNT + 1}")
+
+
+@pytest.mark.parametrize(
+    "parse, header, row",
+    [(ingest_counts, "id,count", "a,3"), (parse_predictions, "id,count_true,count_pred", "a,3,2.5")],
+)
+class TestSharedCsvChecks:
+    def test_missing_header(self, parse, header, row):
+        with pytest.raises(ParseError, match=f"^line 1: missing header '{header}'$"):
+            parse("")
+
+    def test_wrong_field_count(self, parse, header, row):
+        with pytest.raises(ParseError, match=f"^line 3: expected {header.count(',') + 1} fields, got 4$"):
+            parse(f"{header}\n{row}\nb,1,2,3\n")
+
+    def test_empty_id(self, parse, header, row):
+        with pytest.raises(ParseError, match="^line 2: empty id$"):
+            parse(f"{header}\n{row[1:]}\n")
+
+    def test_bom_and_blank_rows_accepted(self, parse, header, row):
+        recs = parse(f"\ufeff{header}\n\n{row}\n")
+        assert [r.id for r in recs] == ["a"]
+
 
 class TestBuildHistogram:
     def test_counting(self):
@@ -62,14 +92,6 @@ class TestBuildHistogram:
         h = build_histogram([CountRecord("a", 5)])
         assert h.max_count == 5
         assert h.freqs == (0, 0, 0, 0, 0, 1)
-
-    def test_override_pads(self):
-        h = build_histogram([CountRecord("a", 1)], max_count_override=3)
-        assert h.freqs == (0, 1, 0, 0)
-
-    def test_override_below_max_rejected(self):
-        with pytest.raises(ValidationError, match="below the max"):
-            build_histogram([CountRecord("a", 5)], max_count_override=3)
 
     def test_needs_records_or_override(self):
         with pytest.raises(ValidationError):

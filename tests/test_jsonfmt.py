@@ -1,0 +1,29 @@
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from countstrat import jsonfmt
+from countstrat.jsonfmt import format_float
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(finite_floats)
+def test_format_float_round_trips(x):
+    assert float(format_float(x)) == x
+    assert math.copysign(1.0, float(format_float(x))) == math.copysign(1.0, x)
+
+
+@settings(derandomize=True, deadline=None)
+@given(json_docs)
+def test_dumps_loads_round_trip(doc):
+    # integral floats print without a fraction and reload as equal ints
+    assert jsonfmt.loads(jsonfmt.dumps(doc)) == doc

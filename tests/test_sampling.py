@@ -2,6 +2,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countstrat import (
     Bin,
@@ -154,22 +156,22 @@ class TestRandomBin:
 
 
 class TestPlanInvariants:
-    def test_epoch_permutation_and_replay(self):
-        rng = np.random.default_rng(0)
-        for scheme in (SamplingScheme.RR, SamplingScheme.RS):
-            for _ in range(40):
-                sizes = [int(s) for s in rng.integers(0, 9, size=rng.integers(1, 6))]
-                if sum(sizes) == 0:
-                    sizes[0] = 2
-                asg = make_assignment(sizes)
-                batch_size = int(rng.integers(1, 7))
-                seed = int(rng.integers(0, 10_000))
-                plan = plan_epoch(asg, batch_size, seed, scheme)
-                everything = [s for ids in asg.by_bin for s in ids]
-                assert sorted(flatten(plan)) == sorted(everything)
-                assert all(len(b) == batch_size for b in plan.batches[:-1])
-                assert 1 <= len(plan.batches[-1]) <= batch_size
-                assert plan == plan_epoch(asg, batch_size, seed, scheme)
+    @settings(derandomize=True, deadline=None)
+    @given(
+        scheme=st.sampled_from(SamplingScheme),
+        sizes=st.lists(st.integers(0, 8), min_size=1, max_size=6).filter(any),
+        batch_size=st.integers(1, 7),
+        seed=st.integers(0, 10_000),
+    )
+    def test_epoch_permutation_and_replay(self, scheme, sizes, batch_size, seed):
+        asg = make_assignment(sizes)
+        plan = plan_epoch(asg, batch_size, seed, scheme)
+        everything = [s for ids in asg.by_bin for s in ids]
+        assert sorted(flatten(plan)) == sorted(everything)
+        assert len(set(flatten(plan))) == len(everything)
+        assert all(len(b) == batch_size for b in plan.batches[:-1])
+        assert 1 <= len(plan.batches[-1]) <= batch_size
+        assert plan == plan_epoch(asg, batch_size, seed, scheme)
 
     def test_rr_prefix_balance(self):
         rng = np.random.default_rng(1)

@@ -163,10 +163,20 @@ class TestPartitionType:
             locate_bin(bins, -1)
 
     def test_json_round_trip(self):
-        p = Partition((Bin(0, 4), Bin(5, 9)), -12.5, 0.3, POIS)
-        doc = partition_to_json_dict(p, alpha=10, beta=1)
-        q, alpha, beta = partition_from_json_dict(doc)
-        assert q == p and alpha == 10 and beta == 1
+        p = Partition((Bin(0, 4), Bin(5, 9)), -12.5, 0.3, POIS, 10)
+        doc = partition_to_json_dict(p, beta=1)
+        assert doc["alpha"] == 10 and doc["beta"] == 1
+        assert partition_from_json_dict(doc) == p
+        with pytest.raises(ValidationError, match="beta"):
+            partition_from_json_dict({k: v for k, v in doc.items() if k != "beta"})
+        with pytest.raises(ValidationError, match="alpha"):
+            partition_to_json_dict(Partition(p.bins, -12.5, 0.3, POIS), beta=1)
+
+    def test_fit_records_resolved_alpha(self):
+        h = CountHistogram(4, (3, 0, 1, 0, 2))
+        assert optimal_partition(h, PriorConfig(0.5), MULTI).alpha == 3  # cells with mass
+        assert optimal_partition(h, PriorConfig(0.5, 2), MULTI).alpha == 2
+        assert brute_force_partition(h, PriorConfig(0.5), MULTI).alpha == 3
 
     def test_bad_json_rejected(self):
         with pytest.raises(ValidationError):

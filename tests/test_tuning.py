@@ -186,11 +186,6 @@ class TestOptimalBins:
         oracle = brute_force_partition(hist, PriorConfig(sel.gamma_best), spec.likelihood_kind)
         assert got.bins == oracle.bins
 
-    def test_alpha_passthrough(self):
-        recs = make_records([0, 1, 2, 5, 9, 14, 20, 30])
-        spec = GridSpec(gammas=(0.8,), ratios=(0.25,), n_seeds=2)
-        assert optimal_bins(recs, spec, alpha=2).n_bins <= 2
-
 
 class TestGridSpec:
     def test_validation(self):
