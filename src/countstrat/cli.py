@@ -9,6 +9,7 @@ repeated invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,10 +50,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write to stdout, or atomically to path: a temp file beside it, then
+    os.replace, so a failed run never leaves a truncated output behind."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -153,7 +163,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(preds, partition)
     _write_output(jsonfmt.dumps(report_json_dict(report)), args.output)
     if args.plot_csv:
-        Path(args.plot_csv).write_text(render_report(report, partition), encoding="utf-8")
+        _write_output(render_report(report, partition), args.plot_csv)
     return 0
 
 

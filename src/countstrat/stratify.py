@@ -21,13 +21,19 @@ tiny relative window of the float optimum are re-ranked in exact rational
 arithmetic, because mathematically tied partitions (symmetric frequency
 patterns, or gamma values whose log cancels a likelihood difference) are
 generally not float ties.
+
+The uncapped DP solves a whole tuple of gammas in one forward pass: the
+block scores of each cell are computed once and shared, and starts that can
+no longer win are pruned as in PELT (see _dp_uncapped).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,6 +43,9 @@ from .counts import CountHistogram, build_histogram, smooth
 from .errors import RangeError, ValidationError
 
 BRUTE_FORCE_MAX_CELLS = 20
+# The DP's log/lgamma tables span the whole histogram mass (records plus
+# beta per cell after smoothing): refuse a larger mass before building them.
+MAX_MASS = 10_000_000
 
 # Score ties that are mathematically exact (e.g. merging two unit cells at
 # gamma = 0.5) are not float ties: libm's lgamma and log disagree by a few
@@ -234,19 +243,24 @@ class _CellData:
     """Per-histogram arrays shared by the DP paths and the oracle."""
 
     def __init__(self, hist: CountHistogram):
+        total = hist.total
+        if total > MAX_MASS:
+            raise ValidationError(
+                f"histogram mass {total} exceeds the limit {MAX_MASS} (records plus beta per count cell)"
+            )
         support = hist.support
         if not support:
             raise ValidationError("histogram has no mass")
         self.support = support
         self.max_count = hist.max_count
         self.masses = np.array([hist.freqs[c] for c in support], dtype=np.int64)
-        self.cell_lg = np.array([math.lgamma(int(x) + 1) for x in self.masses])
         self.mass_cum = np.concatenate(([0], np.cumsum(self.masses)))
-        total = int(self.masses.sum())
         top = max(total, hist.max_count + 1)
-        # index 0 is a never-used guard (log/lgamma pole at 0)
-        self.ln_tab = np.array([np.nan] + [math.log(k) for k in range(1, top + 1)])
-        self.lgam_tab = np.array([np.nan] + [math.lgamma(k) for k in range(1, total + 2)])
+        # ln_tab[k] = log(k), index 0 a never-used guard (pole at 0);
+        # ln_fact[k] = lgamma(k + 1) = log(k!)
+        self.ln_tab = np.fromiter(itertools.chain((np.nan,), map(math.log, range(1, top + 1))), float, top + 1)
+        self.ln_fact = np.fromiter(map(math.lgamma, range(1, total + 2)), float, total + 1)
+        self.cell_lg = self.ln_fact[self.masses]
         # block starting at cell i has lo = 0 for i == 0, else the cell value
         self.lo_arr = np.array(support, dtype=np.int64)
         self.lo_arr[0] = 0
@@ -269,14 +283,17 @@ class _CellData:
         ends = [s - 1 for s in starts[1:]] + [self.n_cells - 1]
         return tuple(Bin(int(self.lo_arr[s]), self.block_end(e)) for s, e in zip(starts, ends))
 
-    def block_scores_ending_at(self, r: int, lgamma_acc: np.ndarray, kind: LikelihoodKind) -> np.ndarray:
-        """Scores of blocks (i..r) for i = 0..r; lgamma_acc[i] holds the
-        left-to-right sum of cell_lg[i..r]."""
-        bmass = self.mass_cum[r + 1] - self.mass_cum[: r + 1]
-        widths = self.block_end(r) - self.lo_arr[: r + 1] + 1
+    def block_scores(
+        self, r: int, mass_before: np.ndarray, lo: np.ndarray, lgamma_acc: np.ndarray, kind: LikelihoodKind
+    ) -> np.ndarray:
+        """Scores of the blocks ending at cell r whose starts have the given
+        mass_cum and lo_arr entries; lgamma_acc holds the left-to-right sums
+        of cell_lg from each start to r."""
+        bmass = self.mass_cum[r + 1] - mass_before
+        widths = (self.block_end(r) + 1) - lo
         if kind is LikelihoodKind.MULTINOMIAL:
-            return (self.lgam_tab[bmass + 1] - lgamma_acc[: r + 1]) - bmass * self.ln_tab[widths]
-        return (bmass * (self.ln_tab[bmass] - self.ln_tab[widths]) - bmass) - lgamma_acc[: r + 1]
+            return (self.ln_fact[bmass] - lgamma_acc) - bmass * self.ln_tab[widths]
+        return (bmass * (self.ln_tab[bmass] - self.ln_tab[widths]) - bmass) - lgamma_acc
 
     def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float | None) -> Fraction:
         """Exact rational ranking key of the partition of cells 0..r given by
@@ -332,41 +349,78 @@ def _starts_from_last(last: np.ndarray, r: int) -> list[int]:
     return starts
 
 
-def _dp_uncapped(cells: _CellData, ln_gamma: float, gamma: float, kind: LikelihoodKind) -> list[int]:
-    """Forward DP over cells; returns the block start indices of the optimum.
+def _dp_uncapped(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> list[list[int]]:
+    """Forward DP over cells for every gamma in one pass; returns the block
+    start indices of the optimum per gamma.
 
     Ties resolve to fewer bins, then to the earlier split, applied at every
     prefix, which matches comparing full partitions by (score, n_bins,
     reversed split sequence). Near-tied candidates are re-ranked exactly
     (see _TIE_REL_WINDOW) when the instance is small enough.
+
+    The block scores of the live starts are computed once per cell and
+    shared; each gamma keeps its own best/nbins/last rows. Merging two blocks
+    never raises the likelihood, so a start whose candidate at cell r falls
+    below best(r) + ln(gamma) is beaten by the start r + 1 at every later
+    cell (PELT with K = 0). A start leaves the shared set once it is below
+    by more than ``slack`` for every gamma at the same cell, which keeps it
+    out of every later tie window.
     """
-    m = cells.n_cells
-    best = np.empty(m)
-    nbins = np.empty(m, dtype=np.int64)
-    last = np.empty(m, dtype=np.int64)
-    acc = np.zeros(m)
-    prev = np.empty(m)
-    nb = np.empty(m, dtype=np.int64)
-    # both read the loop's current r and nb when called
-    fewer_then_earlier = lambda i: (-nb[i], -i)
+    m, g = cells.n_cells, len(gammas)
+    ln_g = np.array([math.log(x) for x in gammas])
+    # bound >= |score| of any partition of any prefix, and of every term
+    # summed into one: block log(mass!), cell log(f!) sums, mass*log(mass),
+    # mass*log(width), the Poisson mass term, and the prior
+    total = int(cells.mass_cum[-1])
+    bound = (
+        2.0 * math.lgamma(total + 1)
+        + total * (math.log(total) + math.log(cells.max_count + 1) + 1.0)
+        + m * float(np.abs(ln_g).max())
+        + 1.0
+    )
+    # a float score sums at most m + 16 terms, each off by a few ulps of bound
+    slack = (_TIE_REL_WINDOW + 8.0 * (m + 16) * np.finfo(float).eps) * bound
+    cut = (ln_g - slack)[:, None]
+    # every member of _pick's near set lies at or above this below the top
+    near = -2.0 * _TIE_REL_WINDOW * bound
+    # column r + 1 of best/nbins holds the optimum over cells 0..r, column 0 the empty prefix
+    best = np.zeros((g, m + 1))
+    nbins = np.zeros((g, m + 1), dtype=np.int64)
+    last = np.empty((g, m), dtype=np.int64)
+    live = np.empty(m, dtype=np.int64)
+    acc = np.empty(m)  # left-to-right sum of cell_lg from each live start to r
+    rows = np.arange(g)
+    # both read the loop's current r, starts and gamma row k when called
+    fewer_then_earlier = lambda j: (-nbins[k, starts[j]], -starts[j])
     key = None
     if cells.exact_ties_enabled:
-        key = lambda i: cells.exact_key(_starts_from_last(last, i - 1) + [i], r, kind, gamma)
+        key = lambda j: cells.exact_key(
+            _starts_from_last(last[k], starts[j] - 1) + [int(starts[j])], r, kind, gammas[k]
+        )
+    n = 0
     for r in range(m):
-        acc[: r + 1] += cells.cell_lg[r]
-        scores = cells.block_scores_ending_at(r, acc, kind)
-        prev[0] = 0.0
-        prev[1 : r + 1] = best[:r]
-        cand = (prev[: r + 1] + scores) + ln_gamma
-        top = float(cand.max())
-        nb[0] = 1
-        nb[1 : r + 1] = nbins[:r] + 1
-        pick = _pick(cand, top, fewer_then_earlier, key)
+        live[n], acc[n] = r, 0.0
+        n += 1
+        starts, lg_sum = live[:n], acc[:n]
+        lg_sum += cells.cell_lg[r]
+        scores = cells.block_scores(r, cells.mass_cum[starts], cells.lo_arr[starts], lg_sum, kind)
+        cand = (best[:, starts] + scores) + ln_g[:, None]
+        picks = cand.argmax(axis=1)
+        top = cand[rows, picks]
+        below = cand - top[:, None]
+        if np.count_nonzero(below >= near) > g:
+            for k in np.flatnonzero((below >= near).sum(axis=1) > 1):
+                picks[k] = _pick(cand[k], top[k], fewer_then_earlier, key)
         # store the float group maximum so chain error stays at ulp scale
-        best[r] = top
-        nbins[r] = nb[pick]
-        last[r] = pick
-    return _starts_from_last(last, m - 1)
+        best[:, r + 1] = top
+        last[:, r] = starts[picks]
+        nbins[:, r + 1] = nbins[rows, last[:, r]] + 1
+        keep = (below >= cut).any(axis=0)
+        n_keep = np.count_nonzero(keep)
+        if n_keep < n:
+            live[:n_keep], acc[:n_keep] = starts[keep], lg_sum[keep]
+            n = n_keep
+    return [_starts_from_last(row, m - 1) for row in last]
 
 
 def _starts_from_back(back: np.ndarray, b: int, r: int) -> list[int]:
@@ -395,7 +449,7 @@ def _dp_capped(cells: _CellData, ln_gamma: float, gamma: float, alpha: int, kind
         final_key = lambda k: cells.exact_key(_starts_from_back(back, k + 1, m - 1), m - 1, kind, gamma)
     for r in range(m):
         acc[: r + 1] += cells.cell_lg[r]
-        blocks = cells.block_scores_ending_at(r, acc, kind)
+        blocks = cells.block_scores(r, cells.mass_cum[: r + 1], cells.lo_arr[: r + 1], acc[: r + 1], kind)
         score[1][r] = blocks[0]
         back[1][r] = 0
         for b in range(2, min(alpha, r + 1) + 1):
@@ -430,12 +484,26 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
         raise ValidationError("histogram must have positive total mass")
     cells = _CellData(hist)
     rcfg = cfg.resolved(cells.n_cells)
-    ln_gamma = math.log(cfg.gamma)
     if rcfg.alpha >= cells.n_cells:
-        starts = _dp_uncapped(cells, ln_gamma, cfg.gamma, kind)
+        starts = _dp_uncapped(cells, (cfg.gamma,), kind)[0]
     else:
-        starts = _dp_capped(cells, ln_gamma, cfg.gamma, rcfg.alpha, kind)
+        starts = _dp_capped(cells, math.log(cfg.gamma), cfg.gamma, rcfg.alpha, kind)
     return _scored(hist, cells, starts, rcfg, kind)
+
+
+def optimal_bins_per_gamma(
+    hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind
+) -> Iterator[tuple[Bin, ...]]:
+    """Bins of the uncapped MAP partition for each gamma in order, from one
+    DP pass over the cells; each equals optimal_partition(hist,
+    PriorConfig(gamma), kind).bins. The DP runs before this returns; the
+    bins are built one gamma at a time as they are iterated."""
+    if hist.total <= 0:
+        raise ValidationError("histogram must have positive total mass")
+    for gamma in gammas:
+        PriorConfig(gamma)
+    cells = _CellData(hist)
+    return (cells.bins(starts) for starts in _dp_uncapped(cells, tuple(gammas), kind))
 
 
 def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:

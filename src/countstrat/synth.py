@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counts import CountRecord
+from .counts import MAX_COUNT, CountRecord
 from .errors import ValidationError
 from .evaluate import EvalReport, PredictionRecord, evaluate
 from .loss import LossConfig, routed_bin_loss, routed_bin_loss_subgradient
@@ -52,8 +52,8 @@ class SynthSpec:
             raise ValidationError("n_samples must be >= 1")
         if self.noise_spread < 0:
             raise ValidationError("noise_spread must be >= 0")
-        if self.max_count < 1:
-            raise ValidationError("max_count must be >= 1")
+        if not 1 <= self.max_count <= MAX_COUNT:
+            raise ValidationError(f"max_count must lie in [1, {MAX_COUNT}], got {self.max_count}")
         if self.log_sigma < 0:
             raise ValidationError("log_sigma must be >= 0")
 

@@ -1,9 +1,10 @@
 """Cross-validated grid search for the bin-count prior parameter gamma.
 
-For every (gamma, held-out ratio) pair the data is split with a run of
-seeds, bins are fit on the train side, and the held-out side is scored
-under the piecewise-constant density the bins define. Per ratio, gammas
-are ranked by descending mean held-out log-likelihood; the gamma with the
+For every held-out ratio the data is split with a run of seeds; on each
+split, bins are fit on the train side for every gamma at once (one DP pass
+over one histogram), and the held-out side is scored under the
+piecewise-constant density each gamma's bins define. Per ratio, gammas are
+ranked by descending mean held-out log-likelihood; the gamma with the
 lowest rank-index sum across ratios wins.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .counts import CountRecord, build_histogram, smooth
 from .errors import ValidationError
-from .stratify import BinningConfig, LikelihoodKind, Partition, PriorConfig, fit_partition, locate_bin, optimal_partition
+from .stratify import BinningConfig, LikelihoodKind, Partition, fit_partition, optimal_bins_per_gamma
 
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
@@ -69,29 +70,31 @@ def split_records(records: list[CountRecord], ratio: float, seed: int) -> tuple[
 
 
 def held_out_log_likelihood(
-    train: list[CountRecord], test: list[CountRecord], gamma: float, spec: GridSpec
-) -> float:
-    """Log-likelihood of the test counts under bins fit on the train counts.
+    train: list[CountRecord], test: list[CountRecord], spec: GridSpec
+) -> tuple[float, ...]:
+    """Log-likelihood of the test counts under bins fit on the train counts,
+    one value per gamma of ``spec.gammas``.
 
     Each bin carries its train mass share, spread uniformly over the bin's
     cells; test counts above the train range score as the last bin's
     per-cell probability. The multinomial coefficient is omitted (constant
-    for a fixed test multiset, so rankings are unaffected).
+    for a fixed test multiset, so rankings are unaffected). Per-record
+    values are summed left to right in test order.
     """
     if not train or not test:
         raise ValidationError("train and test must both be non-empty")
     hist = smooth(build_histogram(train), spec.beta)
-    part = optimal_partition(hist, PriorConfig(gamma), spec.likelihood_kind)
     log_n = math.log(hist.total)
-    cell_logp = []
-    for b in part.bins:
-        mass = sum(hist.freqs[b.lo : b.hi + 1])
-        cell_logp.append(math.log(mass) - log_n - math.log(b.width))
-    total = 0.0
-    for rec in test:
-        idx, _ = locate_bin(part.bins, rec.count)
-        total += cell_logp[idx]
-    return total
+    counts = np.array([rec.count for rec in test], dtype=np.int64)
+    values = []
+    for bins in optimal_bins_per_gamma(hist, spec.gammas, spec.likelihood_kind):
+        cell_logp = np.array(
+            [math.log(sum(hist.freqs[b.lo : b.hi + 1])) - log_n - math.log(b.width) for b in bins]
+        )
+        idx = np.searchsorted(np.array([b.hi for b in bins]), counts)
+        # cumsum adds sequentially, unlike the pairwise np.sum
+        values.append(float(np.cumsum(cell_logp[np.minimum(idx, len(bins) - 1)])[-1]))
+    return tuple(values)
 
 
 def descending_rank_indices(means: list[float], gammas: tuple[float, ...]) -> list[int]:
@@ -109,19 +112,24 @@ def descending_rank_indices(means: list[float], gammas: tuple[float, ...]) -> li
 def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
     """Full grid evaluation; deterministic for fixed records and spec.
 
-    The (gamma, ratio, seed) cells are evaluated and reduced in canonical
-    grid order, so results do not depend on any execution schedule.
+    Each (ratio, seed) split is drawn and scored once for every gamma; the
+    means are then reduced in canonical (gamma, ratio, seed) order, so
+    results do not depend on the evaluation schedule.
     """
     if not records:
         raise ValidationError("records must be non-empty")
+    loglik = {}
+    for ri, ratio in enumerate(spec.ratios):
+        for seed in range(spec.n_seeds):
+            train, test = split_records(records, ratio, seed)
+            loglik[ri, seed] = held_out_log_likelihood(train, test, spec)
     means: dict[tuple[int, int], float] = {}
     table = []
     for gi, gamma in enumerate(spec.gammas):
         for ri, ratio in enumerate(spec.ratios):
             acc = 0.0
             for seed in range(spec.n_seeds):
-                train, test = split_records(records, ratio, seed)
-                acc += held_out_log_likelihood(train, test, gamma, spec)
+                acc += loglik[ri, seed][gi]
             mean = acc / spec.n_seeds
             means[(gi, ri)] = mean
             table.append((gamma, ratio, mean))

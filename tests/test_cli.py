@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,29 @@ class TestBinCommand:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha"] == 2 and len(doc["bins"]) <= 2
+
+    def test_huge_beta_fails(self, capsys):
+        rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5", "--beta", "1000000000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds the limit" in err and err.count("\n") == 1
+
+    def test_failed_replace_keeps_existing_output(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "part.json"
+        argv = ["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5", "-o", str(out)]
+        out.write_text("previous\n", encoding="utf-8")
+
+        def broken_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        assert main(argv) == 1
+        assert "error: replace failed" in capsys.readouterr().err
+        assert read(out) == "previous\n"
+        assert list(tmp_path.iterdir()) == [out]
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert read(out).startswith("{") and list(tmp_path.iterdir()) == [out]
 
     def test_stdout_default(self, capsys):
         rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.3"])
@@ -220,6 +244,12 @@ class TestSynthCommand:
         assert doc["seeds"] == [0, 1]
         assert set(doc["win_counts"]) == {"rr", "rs"}
         assert len(doc["pooled_std_by_seed"]["none"]) == 2
+
+    def test_max_count_above_limit_fails(self, capsys):
+        rc = main(["synth", "--max-count", "1000001", "--seeds", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1000000" in err and err.count("\n") == 1
 
     def test_negative_seed_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

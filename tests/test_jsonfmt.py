@@ -1,6 +1,6 @@
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from countstrat import jsonfmt
@@ -15,14 +15,12 @@ json_docs = st.recursive(
 )
 
 
-@settings(derandomize=True, deadline=None)
 @given(finite_floats)
 def test_format_float_round_trips(x):
     assert float(format_float(x)) == x
     assert math.copysign(1.0, float(format_float(x))) == math.copysign(1.0, x)
 
 
-@settings(derandomize=True, deadline=None)
 @given(json_docs)
 def test_dumps_loads_round_trip(doc):
     # integral floats print without a fraction and reload as equal ints

@@ -2,7 +2,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from countstrat import (
@@ -156,7 +156,6 @@ class TestRandomBin:
 
 
 class TestPlanInvariants:
-    @settings(derandomize=True, deadline=None)
     @given(
         scheme=st.sampled_from(SamplingScheme),
         sizes=st.lists(st.integers(0, 8), min_size=1, max_size=6).filter(any),

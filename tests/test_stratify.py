@@ -17,12 +17,14 @@ from countstrat import (
     bin_log_likelihood,
     brute_force_partition,
     locate_bin,
+    optimal_bins_per_gamma,
     optimal_partition,
     partition_from_json_dict,
     partition_log_score,
     partition_to_json_dict,
     prior_log_prob,
 )
+from countstrat.stratify import MAX_MASS
 
 MULTI = LikelihoodKind.MULTINOMIAL
 POIS = LikelihoodKind.POISSON
@@ -284,6 +286,13 @@ class TestOptimalPartition:
         with pytest.raises(ValidationError):
             optimal_partition(h, PriorConfig(0.5), MULTI)
 
+    def test_mass_limit(self):
+        h = CountHistogram(1, (MAX_MASS, 1))
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            optimal_partition(h, PriorConfig(0.5), MULTI)
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            optimal_bins_per_gamma(h, (0.5,), MULTI)
+
     def test_large_dense_histogram_runs(self):
         rng = np.random.default_rng(9)
         freqs = tuple(int(f) + 1 for f in rng.integers(0, 40, size=1200))
@@ -307,7 +316,7 @@ class TestTieRule:
         assert fit(h, PriorConfig(0.5, 2), MULTI).bins == (Bin(0, 0), Bin(1, 2))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     freqs=st.lists(st.integers(0, 30), min_size=1, max_size=10).filter(any),
     gamma=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
@@ -321,6 +330,24 @@ def test_dp_equals_oracle(freqs, gamma, alpha, kind):
     bf = brute_force_partition(h, cfg, kind)
     assert dp.bins == bf.bins
     assert dp.map_score == bf.map_score
+
+
+@settings(max_examples=200)
+@given(
+    freqs=st.lists(st.integers(0, 30), min_size=1, max_size=10).filter(any),
+    others=st.lists(st.floats(0.01, 0.99), max_size=4),
+    at=st.integers(0, 4),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_multi_gamma_dp_equals_single_and_oracle(freqs, others, at, kind):
+    # 0.5 makes merging two equal cells an exact tie
+    gammas = tuple(others[:at]) + (0.5,) + tuple(others[at:])
+    h = CountHistogram(len(freqs) - 1, tuple(freqs))
+    got = list(optimal_bins_per_gamma(h, gammas, kind))
+    assert len(got) == len(gammas)
+    for gamma, bins in zip(gammas, got):
+        assert bins == optimal_partition(h, PriorConfig(gamma), kind).bins
+        assert bins == brute_force_partition(h, PriorConfig(gamma), kind).bins
 
 
 class TestBruteForce:

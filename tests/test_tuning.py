@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from countstrat import (
     brute_force_partition,
     build_histogram,
     held_out_log_likelihood,
+    locate_bin,
     optimal_bins,
     optimal_partition,
     select_gamma,
     smooth,
     split_records,
 )
+from countstrat import jsonfmt
 from countstrat.stratify import PriorConfig
 from countstrat.tuning import descending_rank_indices, tuning_report_json_dict
 
@@ -62,24 +65,25 @@ class TestHeldOutLogLikelihood:
         train = make_records([0, 1])
         test = make_records([0, 0])
         spec = GridSpec(gammas=(0.3,), beta=1)
-        got = held_out_log_likelihood(train, test, 0.3, spec)
+        (got,) = held_out_log_likelihood(train, test, spec)
         assert got == pytest.approx(2 * math.log(0.5), abs=1e-12)
 
     def test_two_singleton_bins(self):
-        # unsmoothed train masses (3,1): two bins at gamma=0.5; test in bin 0
+        # unsmoothed train masses (3,1): two bins at gamma=0.5, one at 0.01;
+        # the test count sits in bin 0
         train = make_records([0, 0, 0, 1])
-        spec = GridSpec(gammas=(0.5,), beta=0)
+        spec = GridSpec(gammas=(0.5, 0.01), beta=0)
         hist = build_histogram(train)
         part = optimal_partition(hist, PriorConfig(0.5), spec.likelihood_kind)
         assert part.n_bins == 2  # sanity for the scenario
-        got = held_out_log_likelihood(train, make_records([0]), 0.5, spec)
-        assert got == pytest.approx(math.log(3 / 4), abs=1e-12)
+        got = held_out_log_likelihood(train, make_records([0]), spec)
+        assert got == pytest.approx((math.log(3 / 4), math.log(1 / 2)), abs=1e-12)
 
     def test_clamps_beyond_train_range(self):
         train = make_records([0, 1, 2, 3])
         test = [CountRecord("big", 50)]
         spec = GridSpec(gammas=(0.5,), beta=1)
-        got = held_out_log_likelihood(train, test, 0.5, spec)
+        (got,) = held_out_log_likelihood(train, test, spec)
         assert math.isfinite(got)
 
     def test_finite_for_any_test_count(self):
@@ -88,13 +92,33 @@ class TestHeldOutLogLikelihood:
         spec = GridSpec(beta=1)
         for _ in range(20):
             test = make_records(int(c) for c in rng.integers(0, 40, size=5))
-            assert math.isfinite(held_out_log_likelihood(train, test, 0.4, spec))
+            got = held_out_log_likelihood(train, test, spec)
+            assert len(got) == len(spec.gammas) and all(math.isfinite(v) for v in got)
+
+    def test_matches_per_gamma_fits(self):
+        # each value equals fitting that gamma alone and summing the located
+        # per-cell log-probabilities record by record, bit for bit
+        rng = np.random.default_rng(3)
+        train = make_records(int(c) for c in np.rint(rng.lognormal(3, 0.8, size=300)))
+        test = make_records(int(c) for c in np.rint(rng.lognormal(3, 0.8, size=80)))
+        for kind in LikelihoodKind:
+            spec = GridSpec(likelihood_kind=kind)
+            hist = smooth(build_histogram(train), spec.beta)
+            want = []
+            for gamma in spec.gammas:
+                bins = optimal_partition(hist, PriorConfig(gamma), kind).bins
+                total = 0.0
+                for rec in test:
+                    b = bins[locate_bin(bins, rec.count)[0]]
+                    total += math.log(sum(hist.freqs[b.lo : b.hi + 1])) - math.log(hist.total) - math.log(b.width)
+                want.append(total)
+            assert held_out_log_likelihood(train, test, spec) == tuple(want)
 
     def test_empty_sides_rejected(self):
         with pytest.raises(ValidationError):
-            held_out_log_likelihood([], make_records([1]), 0.5, GridSpec())
+            held_out_log_likelihood([], make_records([1]), GridSpec())
         with pytest.raises(ValidationError):
-            held_out_log_likelihood(make_records([1]), [], 0.5, GridSpec())
+            held_out_log_likelihood(make_records([1]), [], GridSpec())
 
 
 class TestRankIndices:
@@ -160,6 +184,24 @@ class TestSelectGamma:
         assert set(doc) == {"gamma_best", "table", "index_sums"}
         assert len(doc["table"]) == 2
         assert set(doc["index_sums"]) == {"0.25", "0.75"}
+
+
+class TestSelectGammaPinned:
+    # sha256 of the report written by the earlier one-fit-per-gamma grid
+    # search; at C = 714 over 285 cells the DP prunes most starts
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            (LikelihoodKind.MULTINOMIAL, "79dde67e44e090681320ea00106fa04d633efde8367aa3d8af7e1ce426688ab5"),
+            (LikelihoodKind.POISSON, "a1fa40af206fddf1dd688b175fa300387df76ed93904342d888af638a203eea4"),
+        ],
+    )
+    def test_report_digest(self, kind, digest):
+        rng = np.random.default_rng(20240)
+        recs = make_records(int(c) for c in np.rint(rng.lognormal(4.5, 0.6, size=2000)))
+        sel = select_gamma(recs, GridSpec(n_seeds=1, likelihood_kind=kind))
+        doc = jsonfmt.dumps(tuning_report_json_dict(sel))
+        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
 
 
 class TestOptimalBins:
