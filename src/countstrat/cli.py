@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import jsonfmt
 from .counts import ingest_counts
-from .errors import StratError
+from .errors import ParseError, StratError
 from .evaluate import evaluate, parse_predictions, render_report, report_json_dict
 from .jsonfmt import format_float
 from .loss import LossConfig, routed_bin_loss
@@ -46,7 +46,11 @@ from .tuning import (
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -11,6 +11,8 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 CSV_HEADER = ("id", "count")
@@ -72,15 +74,16 @@ def csv_rows(text: str, header: tuple[str, ...]):
     the shared checks: optional leading BOM, exact header, field count and a
     non-empty first-field id. Raises ParseError naming the line."""
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    rows = _checked(reader)
     expected = ",".join(header)
     try:
-        first = next(reader)
+        first = next(rows)
     except StopIteration:
         raise ParseError(f"line 1: missing header '{expected}'") from None
     if tuple(h.strip() for h in first) != header:
         raise ParseError(f"line 1: expected header '{expected}', got {','.join(first)!r}")
     n_fields = len(header)
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != n_fields:
@@ -88,6 +91,13 @@ def csv_rows(text: str, header: tuple[str, ...]):
         if not row[0]:
             raise ParseError(f"line {reader.line_num}: empty id")
         yield reader.line_num, row
+
+
+def _checked(reader):
+    try:  # csv.Error: e.g. a field over the csv module's size limit
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
 def ingest_counts(text: str) -> list[CountRecord]:
@@ -120,11 +130,8 @@ def build_histogram(records: list[CountRecord]) -> CountHistogram:
     is the maximum observed count."""
     if not records:
         raise ValidationError("need at least one record")
-    max_count = max(r.count for r in records)
-    freqs = [0] * (max_count + 1)
-    for r in records:
-        freqs[r.count] += 1
-    return CountHistogram(max_count, tuple(freqs), smoothing_beta=0)
+    freqs = np.bincount(np.fromiter((r.count for r in records), np.int64, len(records)))
+    return CountHistogram(len(freqs) - 1, tuple(freqs.tolist()), smoothing_beta=0)
 
 
 def smooth(hist: CountHistogram, beta: int = 1) -> CountHistogram:

@@ -22,9 +22,9 @@ arithmetic, because mathematically tied partitions (symmetric frequency
 patterns, or gamma values whose log cancels a likelihood difference) are
 generally not float ties.
 
-The uncapped DP solves a whole tuple of gammas in one forward pass: the
-block scores of each cell are computed once and shared, and starts that can
-no longer win are pruned as in PELT (see _dp_uncapped).
+One forward pass (_dp) serves both fits, with one row per gamma (uncapped,
+every gamma at once) or per bin count (capped). Each cell's block scores are
+computed once for all rows, and starts that can no longer win are pruned.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -250,7 +249,7 @@ class _CellData:
             )
         support = hist.support
         if not support:
-            raise ValidationError("histogram has no mass")
+            raise ValidationError("histogram must have positive total mass")
         self.support = support
         self.max_count = hist.max_count
         self.masses = np.array([hist.freqs[c] for c in support], dtype=np.int64)
@@ -295,14 +294,13 @@ class _CellData:
             return (self.ln_fact[bmass] - lgamma_acc) - bmass * self.ln_tab[widths]
         return (bmass * (self.ln_tab[bmass] - self.ln_tab[widths]) - bmass) - lgamma_acc
 
-    def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float | None) -> Fraction:
+    def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float) -> Fraction:
         """Exact rational ranking key of the partition of cells 0..r given by
-        the block start indices.
+        the block start indices, with the prior factor gamma per bin.
 
         Partition-constant factors (the per-cell factorials and, for Poisson,
         exp(-total)) are dropped, so keys are only comparable for the same
-        histogram prefix. ``gamma`` of None drops the prior factor too (used
-        where the compared partitions share their bin count).
+        histogram prefix.
         """
         key = Fraction(1)
         for start, nxt in zip(starts, starts[1:] + [r + 1]):
@@ -312,9 +310,7 @@ class _CellData:
                 key *= Fraction(math.factorial(mass), width**mass)
             else:
                 key *= Fraction(mass**mass, width**mass)
-        if gamma is not None:
-            key *= Fraction(gamma) ** len(starts)
-        return key
+        return key * Fraction(gamma) ** len(starts)
 
 
 def _pick(scores: np.ndarray, top: float, tiebreak, exact_key=None) -> int:
@@ -323,51 +319,55 @@ def _pick(scores: np.ndarray, top: float, tiebreak, exact_key=None) -> int:
     The one rule for every tie in this module: candidates within the
     relative window _TIE_REL_WINDOW of ``top`` are ranked by ``exact_key``
     when given (exact re-ranking), else by whether they hit ``top``
-    exactly, and the remaining ties go to the largest ``tiebreak(k)``.
+    exactly, and the remaining ties go to the largest ``tiebreak`` (which
+    maps an array of candidate indices to their keys), then to the lowest
+    index.
     """
     near = np.flatnonzero(scores >= top - _TIE_REL_WINDOW * max(1.0, abs(top)))
-    if len(near) == 1:
-        return int(near[0])
-    if exact_key is None:
-        return max((int(k) for k in near), key=lambda k: (scores[k] == top, tiebreak(k)))
-    return max((int(k) for k in near), key=lambda k: (exact_key(k), tiebreak(k)))
+    if len(near) > 1:
+        if exact_key is None:
+            near = near[scores[near] == top]
+        else:
+            keys = np.array([exact_key(k) for k in near.tolist()])
+            near = near[keys == max(keys)]
+    return int(near[0] if len(near) == 1 else near[tiebreak(near).argmax()])
 
 
-def _starts_from_last(last: np.ndarray, r: int) -> list[int]:
-    """Block starts of the stored optimal prefix partition ending at cell r
-    (empty for r < 0)."""
-    if r < 0:
-        return []
+def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
+    """Block starts of the partition that row k of the pass stores for cells
+    0..r (empty for r < 0); the prefix before each block is shift rows up."""
     starts = []
-    while True:
-        i = int(last[r])
-        starts.append(i)
-        if i == 0:
-            break
-        r = i - 1
-    starts.reverse()
-    return starts
+    while r >= 0:
+        starts.append(int(last[k, r]))
+        r, k = starts[-1] - 1, k - shift
+    return starts[::-1]
 
 
-def _dp_uncapped(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> list[list[int]]:
-    """Forward DP over cells for every gamma in one pass; returns the block
-    start indices of the optimum per gamma.
+def _dp(
+    cells: _CellData, gammas: tuple[float, ...], add: np.ndarray, shift: int, kind: LikelihoodKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward DP over cells, one row per entry of ``add``; returns (best, last).
 
-    Ties resolve to fewer bins, then to the earlier split, applied at every
-    prefix, which matches comparing full partitions by (score, n_bins,
-    reversed split sequence). Near-tied candidates are re-ranked exactly
-    (see _TIE_REL_WINDOW) when the instance is small enough.
+    Column r + 1 of a row is the best score over cells 0..r, column 0 the
+    empty prefix. Row k + shift extends row k's optimum over cells 0..s-1 by
+    the block s..r plus add[k]; last[k + shift, r] is the winning s. The
+    first ``shift`` rows hold the empty partition (0, then -inf); with shift
+    0 each row extends itself. Shift 0 with add ln(gamma) is the uncapped DP
+    per gamma, shift 1 with add 0 puts the best b-bin partitions in row b.
+    gammas[k] is row k's prior factor in exact keys.
 
-    The block scores of the live starts are computed once per cell and
-    shared; each gamma keeps its own best/nbins/last rows. Merging two blocks
-    never raises the likelihood, so a start whose candidate at cell r falls
-    below best(r) + ln(gamma) is beaten by the start r + 1 at every later
-    cell (PELT with K = 0). A start leaves the shared set once it is below
-    by more than ``slack`` for every gamma at the same cell, which keeps it
-    out of every later tie window.
+    Ties resolve to fewer bins, then the earlier split, at every prefix,
+    which matches comparing full partitions by (score, n_bins, reversed
+    split sequence); near ties are re-ranked exactly (see _TIE_REL_WINDOW)
+    on small instances. Block scores are computed once per cell for all
+    rows. Merging blocks never raises the likelihood, so a start whose
+    candidate at cell r is below best[k](r + 1) + add[k] loses to the start
+    r + 1 at every later cell (PELT with K = 0); it leaves the live set once
+    it is below by more than ``slack`` in every row, which keeps it out of
+    every later tie window. Capped rows never prune: row 0 is -inf past
+    column 0, so row 1 keeps every start.
     """
-    m, g = cells.n_cells, len(gammas)
-    ln_g = np.array([math.log(x) for x in gammas])
+    m, n_rows = cells.n_cells, len(add)
     # bound >= |score| of any partition of any prefix, and of every term
     # summed into one: block log(mass!), cell log(f!) sums, mass*log(mass),
     # mass*log(width), the Poisson mass term, and the prior
@@ -375,93 +375,80 @@ def _dp_uncapped(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKi
     bound = (
         2.0 * math.lgamma(total + 1)
         + total * (math.log(total) + math.log(cells.max_count + 1) + 1.0)
-        + m * float(np.abs(ln_g).max())
+        + m * max(abs(math.log(x)) for x in gammas)
         + 1.0
     )
     # a float score sums at most m + 16 terms, each off by a few ulps of bound
     slack = (_TIE_REL_WINDOW + 8.0 * (m + 16) * np.finfo(float).eps) * bound
-    cut = (ln_g - slack)[:, None]
+    add = add[:, None]
+    cut = add - slack
     # every member of _pick's near set lies at or above this below the top
     near = -2.0 * _TIE_REL_WINDOW * bound
-    # column r + 1 of best/nbins holds the optimum over cells 0..r, column 0 the empty prefix
-    best = np.zeros((g, m + 1))
-    nbins = np.zeros((g, m + 1), dtype=np.int64)
-    last = np.empty((g, m), dtype=np.int64)
-    live = np.empty(m, dtype=np.int64)
-    acc = np.empty(m)  # left-to-right sum of cell_lg from each live start to r
-    rows = np.arange(g)
-    # both read the loop's current r, starts and gamma row k when called
-    fewer_then_earlier = lambda j: (-nbins[k, starts[j]], -starts[j])
+    best = np.full((shift + n_rows, m + 1), -np.inf)
+    best[: shift or n_rows, 0] = 0.0
+    nbins = np.zeros((shift + n_rows, m + 1), dtype=np.int64)
+    last = np.zeros((shift + n_rows, m), dtype=np.int64)
+    best_src = best[:n_rows]
+    rows = np.arange(n_rows)
+    live = np.arange(m)  # the first n entries are the live starts, ascending
+    acc = np.zeros(m)  # left-to-right sum of cell_lg from each live start to r
+    # both read the loop's current r, starts and row k when called; starts
+    # ascend, so _pick's lowest-index rule takes the earlier split
+    fewer_bins = lambda j: -nbins[k, starts[j]]
     key = None
     if cells.exact_ties_enabled:
         key = lambda j: cells.exact_key(
-            _starts_from_last(last[k], starts[j] - 1) + [int(starts[j])], r, kind, gammas[k]
+            _starts_from(last, shift, k, int(starts[j]) - 1) + [int(starts[j])], r, kind, gammas[k]
         )
     n = 0
     for r in range(m):
         live[n], acc[n] = r, 0.0
         n += 1
         starts, lg_sum = live[:n], acc[:n]
+        # a slice while nothing is pruned: views, not gathers
+        cols = slice(0, n) if n == r + 1 else starts
         lg_sum += cells.cell_lg[r]
-        scores = cells.block_scores(r, cells.mass_cum[starts], cells.lo_arr[starts], lg_sum, kind)
-        cand = (best[:, starts] + scores) + ln_g[:, None]
+        scores = cells.block_scores(r, cells.mass_cum[cols], cells.lo_arr[cols], lg_sum, kind)
+        cand = best_src[:, cols] + scores
+        cand += add
         picks = cand.argmax(axis=1)
         top = cand[rows, picks]
-        below = cand - top[:, None]
-        if np.count_nonzero(below >= near) > g:
-            for k in np.flatnonzero((below >= near).sum(axis=1) > 1):
-                picks[k] = _pick(cand[k], top[k], fewer_then_earlier, key)
+        # every row has its top in the near set; a row with no partition yet
+        # (fewer cells than bins) is all -inf and resolves harmlessly
+        close = cand >= (top + near)[:, None]
+        if np.count_nonzero(close) > n_rows:
+            for k in np.flatnonzero(close.sum(axis=1) > 1):
+                picks[k] = _pick(cand[k], top[k], fewer_bins, key)
         # store the float group maximum so chain error stays at ulp scale
-        best[:, r + 1] = top
-        last[:, r] = starts[picks]
-        nbins[:, r + 1] = nbins[rows, last[:, r]] + 1
-        keep = (below >= cut).any(axis=0)
+        best[shift:, r + 1] = top
+        last[shift:, r] = won = starts[picks]
+        nbins[shift:, r + 1] = nbins[rows, won] + 1
+        keep = (cand >= best_src[:, r + 1, None] + cut).any(axis=0)
         n_keep = np.count_nonzero(keep)
         if n_keep < n:
             live[:n_keep], acc[:n_keep] = starts[keep], lg_sum[keep]
             n = n_keep
-    return [_starts_from_last(row, m - 1) for row in last]
+    return best, last
 
 
-def _starts_from_back(back: np.ndarray, b: int, r: int) -> list[int]:
-    starts = []
-    while b >= 1:
-        i = int(back[b][r])
-        starts.append(i)
-        r, b = i - 1, b - 1
-    starts.reverse()
-    return starts
+def _uncapped_starts(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> list[list[int]]:
+    """Block starts of the uncapped MAP partition for each gamma, from one pass."""
+    _, last = _dp(cells, gammas, np.array([math.log(x) for x in gammas]), 0, kind)
+    return [_starts_from(last, 0, k, cells.n_cells - 1) for k in range(len(gammas))]
 
 
-def _dp_capped(cells: _CellData, ln_gamma: float, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
-    """Two-dimensional DP over (bin count, cells) for alpha below the cell count."""
+def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
+    """Block starts of the MAP partition with at most alpha bins: row b of
+    the pass holds the best b-bin partitions, and the prior picks a row,
+    fewer bins on ties."""
     m = cells.n_cells
-    score = np.full((alpha + 1, m), float("-inf"))
-    back = np.zeros((alpha + 1, m), dtype=np.int64)
-    acc = np.zeros(m)
-    layer_key = final_key = None
+    best, last = _dp(cells, (gamma,) * alpha, np.zeros(alpha), 1, kind)
+    finals = best[1:, m] + np.arange(1, alpha + 1) * math.log(gamma)
+    key = None
     if cells.exact_ties_enabled:
-        # reads the loop's current b and r when called; the bin count is
-        # fixed within a layer, so the key drops the prior factor
-        layer_key = lambda off: cells.exact_key(
-            _starts_from_back(back, b - 1, off + b - 2) + [off + b - 1], r, kind, None
-        )
-        final_key = lambda k: cells.exact_key(_starts_from_back(back, k + 1, m - 1), m - 1, kind, gamma)
-    for r in range(m):
-        acc[: r + 1] += cells.cell_lg[r]
-        blocks = cells.block_scores(r, cells.mass_cum[: r + 1], cells.lo_arr[: r + 1], acc[: r + 1], kind)
-        score[1][r] = blocks[0]
-        back[1][r] = 0
-        for b in range(2, min(alpha, r + 1) + 1):
-            # last block starts at i = offset + b-1; prior layer indexed at i-1
-            cand = score[b - 1][b - 2 : r] + blocks[b - 1 : r + 1]
-            top = float(cand.max())
-            score[b][r] = top
-            back[b][r] = _pick(cand, top, operator.neg, layer_key) + (b - 1)
-    # candidate k has k + 1 bins
-    finals = score[1:, m - 1] + np.arange(1, alpha + 1) * ln_gamma
-    best_b = _pick(finals, float(finals.max()), operator.neg, final_key) + 1
-    return _starts_from_back(back, best_b, m - 1)
+        key = lambda b: cells.exact_key(_starts_from(last, 1, b + 1, m - 1), m - 1, kind, gamma)
+    b = _pick(finals, float(finals.max()), np.negative, key) + 1
+    return _starts_from(last, 1, b, m - 1)
 
 
 def _scored(
@@ -480,14 +467,12 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
     split. The returned map_score is recomputed with partition_log_score so
     it matches direct rescoring bit for bit.
     """
-    if hist.total <= 0:
-        raise ValidationError("histogram must have positive total mass")
     cells = _CellData(hist)
     rcfg = cfg.resolved(cells.n_cells)
     if rcfg.alpha >= cells.n_cells:
-        starts = _dp_uncapped(cells, (cfg.gamma,), kind)[0]
+        starts = _uncapped_starts(cells, (cfg.gamma,), kind)[0]
     else:
-        starts = _dp_capped(cells, math.log(cfg.gamma), cfg.gamma, rcfg.alpha, kind)
+        starts = _capped_starts(cells, cfg.gamma, rcfg.alpha, kind)
     return _scored(hist, cells, starts, rcfg, kind)
 
 
@@ -498,12 +483,10 @@ def optimal_bins_per_gamma(
     DP pass over the cells; each equals optimal_partition(hist,
     PriorConfig(gamma), kind).bins. The DP runs before this returns; the
     bins are built one gamma at a time as they are iterated."""
-    if hist.total <= 0:
-        raise ValidationError("histogram must have positive total mass")
     for gamma in gammas:
         PriorConfig(gamma)
     cells = _CellData(hist)
-    return (cells.bins(starts) for starts in _dp_uncapped(cells, tuple(gammas), kind))
+    return (cells.bins(starts) for starts in _uncapped_starts(cells, tuple(gammas), kind))
 
 
 def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
@@ -515,8 +498,6 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
     first, then the lexicographically smallest reversed split sequence
     (i.e. earlier last split).
     """
-    if hist.total <= 0:
-        raise ValidationError("histogram must have positive total mass")
     m = len(hist.support)
     if m > BRUTE_FORCE_MAX_CELLS:
         raise ValidationError(
@@ -541,11 +522,13 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
         cands.append(starts)
         ranks.append(rank)
     ranks = np.array(ranks)
-    fewer_then_earlier = lambda k: (-len(cands[k]), tuple(-s for s in reversed(cands[k])))
+    # fewer bins, then the lower index, i.e. the smaller mask: among equal
+    # bin counts, the lexicographically smaller reversed split sequence
+    n_bins = np.array([len(c) for c in cands])
     key = None
     if cells.exact_ties_enabled:
         key = lambda k: cells.exact_key(cands[k], m - 1, kind, cfg.gamma)
-    pick = _pick(ranks, float(ranks.max()), fewer_then_earlier, key)
+    pick = _pick(ranks, float(ranks.max()), lambda k: -n_bins[k], key)
     return _scored(hist, cells, cands[pick], rcfg, kind)
 
 

@@ -285,6 +285,39 @@ class TestTuneCommand:
         assert exc.value.code == 2
 
 
+class TestBadInputFiles:
+    """Undecodable or oversized input ends in one error line, not a traceback."""
+
+    def one_error_line(self, argv, capsys, where):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert where in err
+
+    @pytest.mark.parametrize("command", ["bin", "eval", "plan"])
+    def test_non_utf8_file_fails(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"id,count\na,1\nb,\xff\xfe2\n")
+        counts, part = str(FIXTURES / "counts50.csv"), str(FIXTURES / "golden_partition.json")
+        argv = {
+            "bin": ["bin", str(bad), "--no-tune", "--gamma", "0.5"],
+            "eval": ["eval", str(bad), part],
+            "plan": ["plan", counts, str(bad), "--scheme", "rr", "--batch-size", "4"],
+        }[command]
+        self.one_error_line(argv, capsys, "line 3: not UTF-8")
+
+    def test_oversized_counts_field_fails(self, tmp_path, capsys):
+        counts = tmp_path / "c.csv"
+        counts.write_text("id,count\na,1\n" + "b" * 200_000 + ",2\n", encoding="utf-8")
+        self.one_error_line(["bin", str(counts), "--no-tune", "--gamma", "0.5"], capsys, "line 3: field larger")
+
+    def test_oversized_predictions_field_fails(self, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,count_true,count_pred\n" + "a" * 200_000 + ",1,1\n", encoding="utf-8")
+        argv = ["eval", str(preds), str(FIXTURES / "golden_partition.json")]
+        self.one_error_line(argv, capsys, "line 2: field larger")
+
+
 class TestGoldenOutputs:
     def test_loss_reproduces_golden(self, tmp_path):
         out = tmp_path / "loss.csv"

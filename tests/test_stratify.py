@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -283,8 +284,11 @@ class TestOptimalPartition:
 
     def test_empty_histogram_rejected(self):
         h = CountHistogram(1, (0, 0))
-        with pytest.raises(ValidationError):
-            optimal_partition(h, PriorConfig(0.5), MULTI)
+        for fit in (optimal_partition, brute_force_partition):
+            with pytest.raises(ValidationError, match="positive total mass"):
+                fit(h, PriorConfig(0.5), MULTI)
+        with pytest.raises(ValidationError, match="positive total mass"):
+            optimal_bins_per_gamma(h, (0.5,), MULTI)
 
     def test_mass_limit(self):
         h = CountHistogram(1, (MAX_MASS, 1))
@@ -310,6 +314,11 @@ class TestTieRule:
         # one bin and two unit bins score exactly the same at gamma = 0.5
         h = CountHistogram(1, (1, 1))
         assert fit(h, PriorConfig(0.5), MULTI).bins == (Bin(0, 1),)
+
+    def test_capped_tie_goes_to_fewer_bins(self, fit):
+        # merging two unit cells is neutral at gamma = 0.5: 3, 4 and 5 bins tie
+        h = CountHistogram(4, (1, 1, 40, 1, 1))
+        assert fit(h, PriorConfig(0.5, 4), MULTI).bins == (Bin(0, 1), Bin(2, 2), Bin(3, 4))
 
     def test_mirror_tie_goes_to_earlier_split(self, fit):
         h = CountHistogram(2, (3, 7, 3))
@@ -348,6 +357,51 @@ def test_multi_gamma_dp_equals_single_and_oracle(freqs, others, at, kind):
     for gamma, bins in zip(gammas, got):
         assert bins == optimal_partition(h, PriorConfig(gamma), kind).bins
         assert bins == brute_force_partition(h, PriorConfig(gamma), kind).bins
+
+
+@settings(max_examples=200)
+@given(
+    freqs=st.lists(st.integers(0, 30), min_size=1, max_size=64).filter(any),
+    gamma=st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+    extra=st.integers(0, 4),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_loose_cap_keeps_uncapped_bins(freqs, gamma, extra, kind):
+    # a cap at or above the uncapped bin count only rescales the prior
+    h = CountHistogram(len(freqs) - 1, tuple(freqs))
+    uncapped = optimal_partition(h, PriorConfig(gamma), kind)
+    capped = optimal_partition(h, PriorConfig(gamma, uncapped.n_bins + extra), kind)
+    assert capped.bins == uncapped.bins
+
+
+def pinned_histograms():
+    rng = np.random.default_rng(5)
+    yield rng.integers(1, 40, size=300)
+    sparse = np.zeros(700, dtype=np.int64)
+    sparse[rng.choice(700, size=120, replace=False)] = rng.integers(1, 9, size=120)
+    sparse[0] = max(sparse[0], 1)
+    yield sparse
+    lognormal = np.rint(rng.lognormal(5.0, 0.6, size=3000)).astype(np.int64)
+    yield np.bincount(np.minimum(lognormal, 699), minlength=700) + 1
+    yield np.full(100, 3)
+    yield np.tile([1, 6], 60)
+
+
+def test_capped_fits_pinned():
+    # sha256 of the bins and map scores written by the earlier per-layer
+    # capped DP: random, sparse, lognormal, all-equal and alternating
+    # histograms of 100 to 700 count values
+    lines = []
+    for freqs in pinned_histograms():
+        h = CountHistogram(len(freqs) - 1, tuple(int(f) for f in freqs))
+        for kind in LikelihoodKind:
+            for alpha in (2, 6, 17):
+                for gamma in (0.1, 0.5, 0.9):
+                    p = optimal_partition(h, PriorConfig(gamma, alpha), kind)
+                    bins = ",".join(f"{b.lo}-{b.hi}" for b in p.bins)
+                    lines.append(f"{bins} {p.map_score.hex()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "28b5ed0b9bd48815c67df7c9c91745319b8ad5aa741189483d338657886e61c7"
 
 
 class TestBruteForce:
