@@ -18,7 +18,7 @@ from .counts import ingest_counts
 from .errors import ParseError, StratError
 from .evaluate import evaluate, parse_predictions, render_report, report_json_dict
 from .jsonfmt import format_float
-from .loss import LossConfig, routed_bin_loss
+from .loss import LossConfig, routed_bin_losses
 from .sampling import SamplingScheme, assign_bins, plan_epoch, plan_to_json_dict
 from .stratify import (
     BinningConfig,
@@ -152,8 +152,8 @@ def _cmd_loss(args) -> int:
     preds = parse_predictions(_read_text(args.preds_csv))
     partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
     lines = ["id,y,y_hat,bin_lo,bin_hi,bin_loss"]
-    for rec in preds:
-        value, b = routed_bin_loss(rec.y, rec.y_hat, partition.bins, cfg.lambda1)
+    rows = routed_bin_losses([r.y for r in preds], [r.y_hat for r in preds], partition.bins, cfg.lambda1)
+    for rec, (value, b) in zip(preds, rows):
         lines.append(
             f"{rec.id},{rec.y},{format_float(rec.y_hat)},{b.lo},{b.hi},{format_float(cfg.lambda2 * value)}"
         )

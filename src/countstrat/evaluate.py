@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import csv_rows
+from .counts import MAX_COUNT, csv_rows
 from .errors import ParseError, ValidationError
 from .jsonfmt import format_float
-from .stratify import Bin, Partition, locate_bin
+from .stratify import Bin, Partition, locate_bins
 
 PRED_CSV_HEADER = ("id", "count_true", "count_pred")
 
@@ -65,27 +65,34 @@ def parse_predictions(text: str) -> list[PredictionRecord]:
             raise ParseError(f"line {lineno}: malformed numeric fields {row[1]!r}, {row[2]!r}") from None
         if not math.isfinite(y_hat):
             raise ParseError(f"line {lineno}: non-finite prediction {row[2]!r}")
+        if y > MAX_COUNT:
+            raise ParseError(f"line {lineno}: ground-truth count {y} exceeds the limit {MAX_COUNT}")
         if y < 0:
             raise ValidationError(f"line {lineno}: negative ground-truth count {y}")
         records.append(PredictionRecord(sample_id, y, y_hat))
     return records
 
 
+def _truths_and_errors(preds: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
+    ys = np.fromiter((rec.y for rec in preds), np.int64, len(preds))
+    return ys, np.abs(ys - np.fromiter((rec.y_hat for rec in preds), float, len(preds)))
+
+
 def per_bin_stats(preds: list[PredictionRecord], partition: Partition) -> list[BinStats]:
     """Group absolute errors by the ground truth's bin (clamping above the
     range into the last bin) and report n/MAE/population std per bin."""
-    errors_by_bin: list[list[float]] = [[] for _ in partition.bins]
-    for rec in preds:
-        idx, _ = locate_bin(partition.bins, rec.y)
-        errors_by_bin[idx].append(abs(rec.y - rec.y_hat))
-    stats = []
-    for b, errs in zip(partition.bins, errors_by_bin):
-        if not errs:
-            stats.append(BinStats(b, 0, None, None))
-            continue
-        arr = np.asarray(errs)
-        stats.append(BinStats(b, len(errs), float(arr.mean()), float(arr.std())))
-    return stats
+    ys, errs = _truths_and_errors(preds)
+    idx, _ = locate_bins(partition.bins, ys)
+    # a stable sort keeps each bin's errors in input order, so every slice
+    # holds the same array, and gives the same mean/std, as a per-bin list
+    grouped = errs[np.argsort(idx, kind="stable")]
+    ends = np.cumsum(np.bincount(idx, minlength=len(partition.bins))).tolist()
+    return [
+        BinStats(b, end - start, float(grouped[start:end].mean()), float(grouped[start:end].std()))
+        if end > start
+        else BinStats(b, 0, None, None)
+        for b, start, end in zip(partition.bins, [0, *ends], ends)
+    ]
 
 
 def pool(stats: list[BinStats]) -> tuple[float, float]:
@@ -106,7 +113,7 @@ def global_stats(preds: list[PredictionRecord]) -> tuple[float, float]:
     """(MAE, population std) of all absolute errors, ignoring bins."""
     if not preds:
         raise ValidationError("cannot evaluate an empty prediction set")
-    errs = np.asarray([abs(r.y - r.y_hat) for r in preds])
+    _, errs = _truths_and_errors(preds)
     return float(errs.mean()), float(errs.std())
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .stratify import Bin, locate_bin
+from .stratify import Bin, locate_bin, locate_bins
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,16 @@ class LossConfig:
             raise ValidationError("lambda1 and lambda2 must be finite and >= 0")
 
 
-def _piecewise(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
+def interval_loss(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
+    """The bin loss for a ground truth routed to the bin [lo, hi], unchecked."""
     err = abs(y - y_hat)
     if lo <= y_hat <= hi:
         return lambda1 * math.log1p(err)
     return err
 
 
-def _piecewise_subgradient(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
+def interval_loss_subgradient(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
+    """d(interval_loss)/d(y_hat), as bin_loss_subgradient."""
     if y_hat == y:
         return 0.0
     sign = 1.0 if y_hat > y else -1.0
@@ -45,7 +47,7 @@ def bin_loss(y: float, y_hat: float, bin_: Bin, lambda1: float = 1.0) -> float:
     """Piecewise penalty for a ground truth y known to lie in bin_."""
     if not bin_.contains(y):
         raise ValidationError(f"ground truth {y} outside its bin [{bin_.lo}, {bin_.hi}]")
-    return _piecewise(y, y_hat, bin_.lo, bin_.hi, lambda1)
+    return interval_loss(y, y_hat, bin_.lo, bin_.hi, lambda1)
 
 
 def combined_loss(model_loss: float, y: float, y_hat: float, bin_: Bin, cfg: LossConfig) -> float:
@@ -59,7 +61,7 @@ def bin_loss_subgradient(y: float, y_hat: float, bin_: Bin, lambda1: float = 1.0
     """d(bin_loss)/d(y_hat); 0 at y_hat == y, inside-branch value on bin edges."""
     if not bin_.contains(y):
         raise ValidationError(f"ground truth {y} outside its bin [{bin_.lo}, {bin_.hi}]")
-    return _piecewise_subgradient(y, y_hat, bin_.lo, bin_.hi, lambda1)
+    return interval_loss_subgradient(y, y_hat, bin_.lo, bin_.hi, lambda1)
 
 
 def routed_bin_loss(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: float = 1.0) -> tuple[float, Bin]:
@@ -67,10 +69,21 @@ def routed_bin_loss(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: floa
     and evaluate the loss there. Returns (loss, bin used)."""
     idx, _ = locate_bin(bins, y)
     b = bins[idx]
-    return _piecewise(y, y_hat, b.lo, b.hi, lambda1), b
+    return interval_loss(y, y_hat, b.lo, b.hi, lambda1), b
 
 
 def routed_bin_loss_subgradient(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: float = 1.0) -> float:
     idx, _ = locate_bin(bins, y)
     b = bins[idx]
-    return _piecewise_subgradient(y, y_hat, b.lo, b.hi, lambda1)
+    return interval_loss_subgradient(y, y_hat, b.lo, b.hi, lambda1)
+
+
+def routed_bin_losses(
+    ys: list[int], y_hats: list[float], bins: tuple[Bin, ...], lambda1: float = 1.0
+) -> list[tuple[float, Bin]]:
+    """routed_bin_loss of every (y, y_hat) pair, the bins located at once."""
+    idx, _ = locate_bins(bins, ys)
+    return [
+        (interval_loss(y, y_hat, bins[k].lo, bins[k].hi, lambda1), bins[k])
+        for y, y_hat, k in zip(ys, y_hats, idx.tolist())
+    ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .counts import CountRecord
 from .errors import ValidationError
-from .stratify import Partition, locate_bin
+from .stratify import Partition, locate_bins
 
 
 class SamplingScheme(enum.Enum):
@@ -52,14 +52,12 @@ def assign_bins(records: list[CountRecord], partition: Partition) -> BinAssignme
     Counts above the partition range land in the last bin and are reported
     through clamped_ids.
     """
-    buckets: list[list[str]] = [[] for _ in partition.bins]
-    clamped: list[str] = []
-    for rec in records:
-        idx, was_clamped = locate_bin(partition.bins, rec.count)
-        buckets[idx].append(rec.id)
-        if was_clamped:
-            clamped.append(rec.id)
-    return BinAssignment(tuple(tuple(b) for b in buckets), tuple(clamped))
+    idx, clamped = locate_bins(partition.bins, [rec.count for rec in records])
+    order = np.argsort(idx, kind="stable")  # keeps input order within a bin
+    ids = [records[i].id for i in order.tolist()]
+    ends = np.cumsum(np.bincount(idx, minlength=len(partition.bins))).tolist()
+    by_bin = tuple(tuple(ids[a:b]) for a, b in zip([0, *ends], ends))
+    return BinAssignment(by_bin, tuple(records[i].id for i in np.flatnonzero(clamped).tolist()))
 
 
 def _validated(assignment: BinAssignment, batch_size: int) -> None:
@@ -69,9 +67,8 @@ def _validated(assignment: BinAssignment, batch_size: int) -> None:
         raise ValidationError("assignment holds no samples")
 
 
-def _draw(rng: np.random.Generator, bucket: list[str]) -> str:
-    # swap-pop: uniform over remaining, O(1)
-    j = int(rng.integers(len(bucket)))
+def _draw(bucket: list[str], j: int) -> str:
+    # swap-pop: uniform over remaining when j is, O(1)
     bucket[j], bucket[-1] = bucket[-1], bucket[j]
     return bucket.pop()
 
@@ -86,18 +83,18 @@ def _as_plan(draws: list[str], batch_size: int, seed: int, scheme: SamplingSchem
 def plan_epoch_rr(assignment: BinAssignment, batch_size: int, seed: int) -> BatchPlan:
     """Round-robin epoch plan: one draw per bin visit, exhausted bins skipped."""
     _validated(assignment, batch_size)
-    remaining = [list(ids) for ids in assignment.by_bin]
+    sizes = np.array([len(ids) for ids in assignment.by_bin])
+    # visit v is bin k's r-th draw; visits run round by round, bins ascending,
+    # so each draw's bound (the bucket size then) is known before any draw
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    r = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    visits = np.argsort(r, kind="stable")
+    bins, highs = k[visits], (sizes[k] - r)[visits]
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_bins = len(remaining)
-    draws: list[str] = []
-    left = assignment.total
-    cursor = 0
-    while left:
-        while not remaining[cursor]:
-            cursor = (cursor + 1) % n_bins
-        draws.append(_draw(rng, remaining[cursor]))
-        left -= 1
-        cursor = (cursor + 1) % n_bins
+    # one bulk draw gives the same PCG64 stream as a scalar draw per visit
+    picks = rng.integers(0, highs)
+    remaining = [list(ids) for ids in assignment.by_bin]
+    draws = [_draw(remaining[b], j) for b, j in zip(bins.tolist(), picks.tolist())]
     return _as_plan(draws, batch_size, seed, SamplingScheme.RR)
 
 
@@ -106,13 +103,14 @@ def plan_epoch_rs(assignment: BinAssignment, batch_size: int, seed: int) -> Batc
     _validated(assignment, batch_size)
     remaining = [list(ids) for ids in assignment.by_bin]
     rng = np.random.Generator(np.random.PCG64(seed))
+    nonempty = [i for i, bucket in enumerate(remaining) if bucket]  # ascending
     draws: list[str] = []
-    left = assignment.total
-    while left:
-        nonempty = [i for i, bucket in enumerate(remaining) if bucket]
-        pick = nonempty[int(rng.integers(len(nonempty)))]
-        draws.append(_draw(rng, remaining[pick]))
-        left -= 1
+    for _ in range(assignment.total):
+        at = int(rng.integers(len(nonempty)))
+        bucket = remaining[nonempty[at]]
+        draws.append(_draw(bucket, int(rng.integers(len(bucket)))))
+        if not bucket:
+            del nonempty[at]  # O(B), once per bin
     return _as_plan(draws, batch_size, seed, SamplingScheme.RS)
 
 

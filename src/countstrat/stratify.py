@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counts import CountHistogram, build_histogram, smooth
+from .counts import MAX_COUNT, CountHistogram, build_histogram, smooth
 from .errors import RangeError, ValidationError
 
 BRUTE_FORCE_MAX_CELLS = 20
@@ -176,6 +176,17 @@ def locate_bin(bins: tuple[Bin, ...], count: float) -> tuple[int, bool]:
     return lo_idx, False
 
 
+def locate_bins(bins: tuple[Bin, ...], counts) -> tuple[np.ndarray, np.ndarray]:
+    """locate_bin over a sequence of integer counts: (bin indices, clamped
+    mask), from one searchsorted over the bins' upper edges."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size and counts.min() < bins[0].lo:
+        raise RangeError(f"count {counts.min()} below partition range start {bins[0].lo}")
+    idx = np.searchsorted(np.array([b.hi for b in bins], dtype=np.int64), counts)
+    clamped = idx == len(bins)
+    return np.minimum(idx, len(bins) - 1), clamped
+
+
 def prior_log_prob(n_bins: int, cfg: PriorConfig) -> float:
     """Log of the truncated geometric prior; -inf outside support [1, alpha]."""
     if n_bins < 1:
@@ -277,10 +288,12 @@ class _CellData:
             return self.max_count
         return self.support[j + 1] - 1
 
-    def bins(self, starts: list[int]) -> tuple[Bin, ...]:
-        """Bins from the cell indices starting each block (starts[0] == 0)."""
-        ends = [s - 1 for s in starts[1:]] + [self.n_cells - 1]
-        return tuple(Bin(int(self.lo_arr[s]), self.block_end(e)) for s, e in zip(starts, ends))
+    def blocks(self, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Upper edges and masses of the blocks given by the cell indices
+        starting each block (starts[0] == 0)."""
+        s = np.array(starts)
+        his = np.append(self.lo_arr[s[1:]] - 1, self.max_count)
+        return his, np.diff(self.mass_cum[np.append(s, self.n_cells)])
 
     def block_scores(
         self, r: int, mass_before: np.ndarray, lo: np.ndarray, lgamma_acc: np.ndarray, kind: LikelihoodKind
@@ -311,6 +324,12 @@ class _CellData:
             else:
                 key *= Fraction(mass**mass, width**mass)
         return key * Fraction(gamma) ** len(starts)
+
+
+def _bins(his: np.ndarray) -> tuple[Bin, ...]:
+    """Contiguous bins from count 0 with the given upper edges."""
+    his = his.tolist()
+    return tuple(map(Bin, [0, *(hi + 1 for hi in his[:-1])], his))
 
 
 def _pick(scores: np.ndarray, top: float, tiebreak, exact_key=None) -> int:
@@ -456,7 +475,7 @@ def _scored(
 ) -> Partition:
     """The partition given by the block starts, with map_score recomputed
     by partition_log_score so it matches direct rescoring bit for bit."""
-    partition = Partition(cells.bins(starts), 0.0, cfg.gamma, kind, cfg.alpha)
+    partition = Partition(_bins(cells.blocks(starts)[0]), 0.0, cfg.gamma, kind, cfg.alpha)
     return replace(partition, map_score=partition_log_score(hist, partition, cfg, kind))
 
 
@@ -483,10 +502,18 @@ def optimal_bins_per_gamma(
     DP pass over the cells; each equals optimal_partition(hist,
     PriorConfig(gamma), kind).bins. The DP runs before this returns; the
     bins are built one gamma at a time as they are iterated."""
+    return (_bins(his) for his, _ in optimal_blocks_per_gamma(hist, gammas, kind))
+
+
+def optimal_blocks_per_gamma(
+    hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(upper edges, masses) of the optimal_bins_per_gamma bins as int64
+    arrays, without building Bin tuples."""
     for gamma in gammas:
         PriorConfig(gamma)
     cells = _CellData(hist)
-    return (cells.bins(starts) for starts in _uncapped_starts(cells, tuple(gammas), kind))
+    return (cells.blocks(starts) for starts in _uncapped_starts(cells, tuple(gammas), kind))
 
 
 def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
@@ -552,19 +579,27 @@ def partition_to_json_dict(partition: Partition, beta: int) -> dict:
     }
 
 
+def _json_int(doc: dict, key: str) -> int:
+    if type(doc[key]) is not int:  # rejects 2.4, "2" and true (bool subclasses int)
+        raise TypeError(f"{key!r} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def partition_from_json_dict(obj: dict) -> Partition:
-    """Parse the partition export schema; ``beta`` must be an integer but is
-    not carried by the Partition."""
+    """Parse the partition export schema. ``alpha``, ``beta`` and the bin
+    edges must be JSON integers, the edges within [0, MAX_COUNT]; ``beta``
+    is not carried by the Partition."""
     try:
-        bins = tuple(Bin(int(b["lo"]), int(b["hi"])) for b in obj["bins"])
         partition = Partition(
-            bins,
+            tuple(Bin(_json_int(b, "lo"), _json_int(b, "hi")) for b in obj["bins"]),
             float(obj["map_score"]),
             float(obj["gamma"]),
             LikelihoodKind(obj["likelihood"]),
-            int(obj["alpha"]),
+            _json_int(obj, "alpha"),
         )
-        int(obj["beta"])
+        _json_int(obj, "beta")
+        if partition.max_count > MAX_COUNT:
+            raise ValueError(f"bin edge {partition.max_count} exceeds the limit {MAX_COUNT}")
         return partition
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad partition document: {exc}") from None

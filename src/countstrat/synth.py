@@ -20,7 +20,7 @@ import numpy as np
 from .counts import MAX_COUNT, CountRecord
 from .errors import ValidationError
 from .evaluate import EvalReport, PredictionRecord, evaluate
-from .loss import LossConfig, routed_bin_loss, routed_bin_loss_subgradient
+from .loss import LossConfig, interval_loss, interval_loss_subgradient
 from .sampling import SamplingScheme, assign_bins, plan_epoch
 from .stratify import BinningConfig, Partition, fit_partition
 from .tuning import split_records
@@ -138,7 +138,10 @@ def fit_toy_regressor(
     scale = max(float(zs.mean()), 1e-9)
     u = {r.id: features[r.id] / scale for r in train}
     ids = [r.id for r in train]
-    assignment = assign_bins(train, partition) if scheme != "none" else None
+    if scheme != "none":
+        assignment = assign_bins(train, partition)
+        # each sample's (clamped) bin, located once per fit
+        edges = {i: (b.lo, b.hi) for b, members in zip(partition.bins, assignment.by_bin) for i in members}
     lam1, lam2 = cfg.loss.lambda1, cfg.loss.lambda2
 
     weight, offset = 0.0, 0.0
@@ -163,9 +166,9 @@ def fit_toy_regressor(
                 loss = abs(err)
                 grad = sign
                 if scheme != "none":
-                    extra, _ = routed_bin_loss(yi, pred, partition.bins, lam1)
-                    loss += lam2 * extra
-                    grad += lam2 * routed_bin_loss_subgradient(yi, pred, partition.bins, lam1)
+                    lo, hi = edges[sample_id]
+                    loss += lam2 * interval_loss(yi, pred, lo, hi, lam1)
+                    grad += lam2 * interval_loss_subgradient(yi, pred, lo, hi, lam1)
                 loss_sum += loss
                 g_w += grad * ui
                 g_c += grad

@@ -17,7 +17,7 @@ import numpy as np
 
 from .counts import CountRecord, build_histogram, smooth
 from .errors import ValidationError
-from .stratify import BinningConfig, LikelihoodKind, Partition, fit_partition, optimal_bins_per_gamma
+from .stratify import BinningConfig, LikelihoodKind, Partition, fit_partition, optimal_blocks_per_gamma
 
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
@@ -87,13 +87,14 @@ def held_out_log_likelihood(
     log_n = math.log(hist.total)
     counts = np.array([rec.count for rec in test], dtype=np.int64)
     values = []
-    for bins in optimal_bins_per_gamma(hist, spec.gammas, spec.likelihood_kind):
+    for his, masses in optimal_blocks_per_gamma(hist, spec.gammas, spec.likelihood_kind):
+        widths = np.diff(his, prepend=-1)
         cell_logp = np.array(
-            [math.log(sum(hist.freqs[b.lo : b.hi + 1])) - log_n - math.log(b.width) for b in bins]
+            [math.log(m) - log_n - math.log(w) for m, w in zip(masses.tolist(), widths.tolist())]
         )
-        idx = np.searchsorted(np.array([b.hi for b in bins]), counts)
+        idx = np.searchsorted(his, counts)
         # cumsum adds sequentially, unlike the pairwise np.sum
-        values.append(float(np.cumsum(cell_logp[np.minimum(idx, len(bins) - 1)])[-1]))
+        values.append(float(np.cumsum(cell_logp[np.minimum(idx, len(his) - 1)])[-1]))
     return tuple(values)
 
 

@@ -318,6 +318,39 @@ class TestBadInputFiles:
         self.one_error_line(argv, capsys, "line 2: field larger")
 
 
+    @pytest.mark.parametrize("command", ["eval", "loss"])
+    def test_huge_count_true_fails(self, command, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,count_true,count_pred\na,1,1\nb,99999999999999999999,1\n")
+        argv = [command, str(preds), str(FIXTURES / "golden_partition.json")]
+        self.one_error_line(argv, capsys, "line 3: ground-truth count 99999999999999999999 exceeds the limit")
+
+    # a reader that truncated these read "lo": 2.4 as the bin [2, 6]
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda d: d["bins"][1].update(lo=2.4), "'lo' must be an integer, got 2.4", id="lo-float"),
+            pytest.param(lambda d: d["bins"][1].update(hi="6"), "'hi' must be an integer, got '6'", id="hi-string"),
+            pytest.param(lambda d: d.update(alpha=2.7), "'alpha' must be an integer, got 2.7", id="alpha-float"),
+            pytest.param(lambda d: d.update(beta=1.5), "'beta' must be an integer, got 1.5", id="beta-float"),
+            pytest.param(lambda d: d.update(beta=True), "'beta' must be an integer, got True", id="beta-bool"),
+            pytest.param(lambda d: d["bins"][-1].update(hi=10**30), f"bin edge {10**30} exceeds the limit 1000000", id="hi-huge"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["plan", "loss", "eval"])
+    def test_bad_partition_field_fails(self, command, edit, message, tmp_path, capsys):
+        doc = json.loads(read(FIXTURES / "golden_partition.json"))
+        edit(doc)
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(doc))
+        argv = {
+            "plan": ["plan", str(FIXTURES / "counts50.csv"), str(part), "--scheme", "rr", "--batch-size", "4"],
+            "loss": ["loss", str(FIXTURES / "preds50.csv"), str(part)],
+            "eval": ["eval", str(FIXTURES / "preds50.csv"), str(part)],
+        }[command]
+        self.one_error_line(argv, capsys, f"bad partition document: {message}")
+
+
 class TestGoldenOutputs:
     def test_loss_reproduces_golden(self, tmp_path):
         out = tmp_path / "loss.csv"

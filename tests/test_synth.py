@@ -115,15 +115,15 @@ class TestToyRegressor:
         def boom(*args, **kwargs):
             raise AssertionError("baseline consulted the bin loss")
 
-        original = (synth_mod.routed_bin_loss, synth_mod.routed_bin_loss_subgradient)
-        synth_mod.routed_bin_loss = boom
-        synth_mod.routed_bin_loss_subgradient = boom
+        original = (synth_mod.interval_loss, synth_mod.interval_loss_subgradient)
+        synth_mod.interval_loss = boom
+        synth_mod.interval_loss_subgradient = boom
         try:
             fit_toy_regressor(train, features, partition, SMALL_TRAINER, "none", 0)
             with pytest.raises(AssertionError, match="consulted"):
                 fit_toy_regressor(train, features, partition, SMALL_TRAINER, "rr", 0)
         finally:
-            synth_mod.routed_bin_loss, synth_mod.routed_bin_loss_subgradient = original
+            synth_mod.interval_loss, synth_mod.interval_loss_subgradient = original
 
     def test_noise_free_loss_monotone_all_schemes(self):
         spec = replace(SynthSpec(), noise_spread=0.0, noise_bias=0.0)
