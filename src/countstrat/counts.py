@@ -125,13 +125,24 @@ def ingest_counts(text: str) -> list[CountRecord]:
     return records
 
 
+def record_counts(records: list[CountRecord]) -> np.ndarray:
+    """The records' counts as one int64 column, in record order."""
+    return np.fromiter((r.count for r in records), np.int64, len(records))
+
+
+def count_histogram(counts: np.ndarray) -> CountHistogram:
+    """Unsmoothed histogram over [0, C] of an int64 count column, where C is
+    its maximum, from one bincount."""
+    if not len(counts):
+        raise ValidationError("need at least one record")
+    freqs = np.bincount(counts)
+    return CountHistogram(len(freqs) - 1, tuple(freqs.tolist()), smoothing_beta=0)
+
+
 def build_histogram(records: list[CountRecord]) -> CountHistogram:
     """Aggregate records into an unsmoothed histogram over [0, C], where C
     is the maximum observed count."""
-    if not records:
-        raise ValidationError("need at least one record")
-    freqs = np.bincount(np.fromiter((r.count for r in records), np.int64, len(records)))
-    return CountHistogram(len(freqs) - 1, tuple(freqs.tolist()), smoothing_beta=0)
+    return count_histogram(record_counts(records))
 
 
 def smooth(hist: CountHistogram, beta: int = 1) -> CountHistogram:

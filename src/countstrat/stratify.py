@@ -249,15 +249,32 @@ def partition_log_score(
     return score + prior_log_prob(partition.n_bins, cfg.resolved(len(hist.support)))
 
 
-class _CellData:
-    """Per-histogram arrays shared by the DP paths and the oracle."""
+def log_tables(mass: int, max_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ln_tab, ln_fact) for every histogram of at most this mass over at
+    most [0, max_count]: ln_tab[k] = log(k) for k up to max(mass,
+    max_count + 1), index 0 a never-used guard (pole at 0), and ln_fact[k] =
+    lgamma(k + 1) = log(k!) for k up to mass. Entries come one by one from
+    math.log/math.lgamma, so a prefix of a larger table is bit-identical to
+    a smaller one. Both are read-only, since fits share them."""
+    if mass > MAX_MASS:
+        raise ValidationError(f"histogram mass {mass} exceeds the limit {MAX_MASS} (records plus beta per count cell)")
+    top = max(mass, max_count + 1)
+    ln_tab = np.fromiter(itertools.chain((np.nan,), map(math.log, range(1, top + 1))), float, top + 1)
+    ln_fact = np.fromiter(map(math.lgamma, range(1, mass + 2)), float, mass + 1)
+    ln_tab.flags.writeable = ln_fact.flags.writeable = False
+    return ln_tab, ln_fact
 
-    def __init__(self, hist: CountHistogram):
+
+class _CellData:
+    """Per-histogram arrays shared by the DP paths and the oracle; the log
+    tables are prefixes of ``tables`` (from log_tables) when given."""
+
+    def __init__(self, hist: CountHistogram, tables: tuple[np.ndarray, np.ndarray] | None = None):
         total = hist.total
-        if total > MAX_MASS:
-            raise ValidationError(
-                f"histogram mass {total} exceeds the limit {MAX_MASS} (records plus beta per count cell)"
-            )
+        ln_tab, ln_fact = tables or log_tables(total, hist.max_count)
+        top = max(total, hist.max_count + 1)
+        if len(ln_tab) <= top or len(ln_fact) <= total:
+            raise ValidationError(f"log tables too short for histogram mass {total} over [0, {hist.max_count}]")
         support = hist.support
         if not support:
             raise ValidationError("histogram must have positive total mass")
@@ -265,11 +282,7 @@ class _CellData:
         self.max_count = hist.max_count
         self.masses = np.array([hist.freqs[c] for c in support], dtype=np.int64)
         self.mass_cum = np.concatenate(([0], np.cumsum(self.masses)))
-        top = max(total, hist.max_count + 1)
-        # ln_tab[k] = log(k), index 0 a never-used guard (pole at 0);
-        # ln_fact[k] = lgamma(k + 1) = log(k!)
-        self.ln_tab = np.fromiter(itertools.chain((np.nan,), map(math.log, range(1, top + 1))), float, top + 1)
-        self.ln_fact = np.fromiter(map(math.lgamma, range(1, total + 2)), float, total + 1)
+        self.ln_tab, self.ln_fact = ln_tab[: top + 1], ln_fact[: total + 1]
         self.cell_lg = self.ln_fact[self.masses]
         # block starting at cell i has lo = 0 for i == 0, else the cell value
         self.lo_arr = np.array(support, dtype=np.int64)
@@ -479,14 +492,15 @@ def _scored(
     return replace(partition, map_score=partition_log_score(hist, partition, cfg, kind))
 
 
-def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
+def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind, tables=None) -> Partition:
     """MAP partition over all contiguous cell-boundary partitions.
 
     Deterministic: score ties prefer fewer bins, then the earlier last
     split. The returned map_score is recomputed with partition_log_score so
-    it matches direct rescoring bit for bit.
+    it matches direct rescoring bit for bit. ``tables`` (from log_tables,
+    large enough for hist) saves rebuilding them; results do not change.
     """
-    cells = _CellData(hist)
+    cells = _CellData(hist, tables)
     rcfg = cfg.resolved(cells.n_cells)
     if rcfg.alpha >= cells.n_cells:
         starts = _uncapped_starts(cells, (cfg.gamma,), kind)[0]
@@ -506,13 +520,13 @@ def optimal_bins_per_gamma(
 
 
 def optimal_blocks_per_gamma(
-    hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind
+    hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind, tables=None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(upper edges, masses) of the optimal_bins_per_gamma bins as int64
-    arrays, without building Bin tuples."""
+    arrays, without building Bin tuples; ``tables`` as in optimal_partition."""
     for gamma in gammas:
         PriorConfig(gamma)
-    cells = _CellData(hist)
+    cells = _CellData(hist, tables)
     return (cells.blocks(starts) for starts in _uncapped_starts(cells, tuple(gammas), kind))
 
 
@@ -585,21 +599,32 @@ def _json_int(doc: dict, key: str) -> int:
     return doc[key]
 
 
+def _json_number(doc: dict, key: str) -> float:
+    if type(doc[key]) not in (int, float):  # rejects "0.5" and true
+        raise TypeError(f"{key!r} must be a number, got {doc[key]!r}")
+    return float(doc[key])
+
+
 def partition_from_json_dict(obj: dict) -> Partition:
     """Parse the partition export schema. ``alpha``, ``beta`` and the bin
-    edges must be JSON integers, the edges within [0, MAX_COUNT]; ``beta``
-    is not carried by the Partition."""
+    edges must be JSON integers, the edges within [0, MAX_COUNT], ``alpha``
+    at least 1; ``gamma`` and ``map_score`` must be JSON numbers, ``gamma``
+    in (0, 1) and ``map_score`` finite. ``beta`` is not carried by the
+    Partition."""
     try:
         partition = Partition(
             tuple(Bin(_json_int(b, "lo"), _json_int(b, "hi")) for b in obj["bins"]),
-            float(obj["map_score"]),
-            float(obj["gamma"]),
+            _json_number(obj, "map_score"),
+            _json_number(obj, "gamma"),
             LikelihoodKind(obj["likelihood"]),
             _json_int(obj, "alpha"),
         )
         _json_int(obj, "beta")
+        PriorConfig(partition.gamma_used, partition.alpha)
+        if not math.isfinite(partition.map_score):
+            raise ValueError(f"'map_score' must be finite, got {partition.map_score!r}")
         if partition.max_count > MAX_COUNT:
             raise ValueError(f"bin edge {partition.max_count} exceeds the limit {MAX_COUNT}")
         return partition
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"bad partition document: {exc}") from None

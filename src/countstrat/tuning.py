@@ -6,6 +6,13 @@ over one histogram), and the held-out side is scored under the
 piecewise-constant density each gamma's bins define. Per ratio, gammas are
 ranked by descending mean held-out log-likelihood; the gamma with the
 lowest rank-index sum across ratios wins.
+
+The search works on columns: the records' counts are read into one int64
+array once, each split is a pair of index arrays into it (the seeded
+permutation split_records uses), the train histogram is one bincount, and
+the log tables of every fit are slices of one pair built per search and
+sized by the whole input. split_records and held_out_log_likelihood are
+the record-list forms of the same split and scorer.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountRecord, build_histogram, smooth
+from .counts import CountRecord, count_histogram, record_counts, smooth
 from .errors import ValidationError
-from .stratify import BinningConfig, LikelihoodKind, Partition, fit_partition, optimal_blocks_per_gamma
+from .stratify import LikelihoodKind, Partition, PriorConfig, log_tables, optimal_blocks_per_gamma, optimal_partition
 
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
@@ -54,19 +61,24 @@ class GammaSelection:
     index_sums: tuple[tuple[float, int], ...] = ()
 
 
-def split_records(records: list[CountRecord], ratio: float, seed: int) -> tuple[list[CountRecord], list[CountRecord]]:
-    """Seeded shuffle (PCG64), then the last ceil(ratio*n) records held out."""
-    if not records:
-        raise ValidationError("records must be non-empty")
+def _index_split(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test index arrays into n records: a seeded shuffle (PCG64)
+    of range(n), then the last ceil(ratio*n) positions held out."""
     if not 0.0 < ratio < 1.0:
         raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
-    n = len(records)
     n_test = math.ceil(ratio * n)
     if n_test >= n:
         raise ValidationError(f"ratio {ratio} leaves an empty train side for n={n}")
     perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
-    shuffled = [records[i] for i in perm]
-    return shuffled[: n - n_test], shuffled[n - n_test :]
+    return perm[: n - n_test], perm[n - n_test :]
+
+
+def split_records(records: list[CountRecord], ratio: float, seed: int) -> tuple[list[CountRecord], list[CountRecord]]:
+    """Seeded shuffle (PCG64), then the last ceil(ratio*n) records held out."""
+    if not records:
+        raise ValidationError("records must be non-empty")
+    train, test = _index_split(len(records), ratio, seed)
+    return [records[i] for i in train.tolist()], [records[i] for i in test.tolist()]
 
 
 def held_out_log_likelihood(
@@ -83,18 +95,26 @@ def held_out_log_likelihood(
     """
     if not train or not test:
         raise ValidationError("train and test must both be non-empty")
-    hist = smooth(build_histogram(train), spec.beta)
-    log_n = math.log(hist.total)
-    counts = np.array([rec.count for rec in test], dtype=np.int64)
+    return _held_out(record_counts(train), record_counts(test), spec)
+
+
+def _held_out(train: np.ndarray, test: np.ndarray, spec: GridSpec, tables=None) -> tuple[float, ...]:
+    """held_out_log_likelihood over int64 count columns; ``tables`` (from
+    log_tables, large enough for the smoothed train histogram) are built
+    here when not given."""
+    hist = smooth(count_histogram(train), spec.beta)
+    tables = tables or log_tables(hist.total, hist.max_count)
+    ln_tab = tables[0]  # ln_tab[k] is math.log(k), bit for bit
+    log_n = ln_tab[hist.total]
+    clamped = np.minimum(test, hist.max_count)
     values = []
-    for his, masses in optimal_blocks_per_gamma(hist, spec.gammas, spec.likelihood_kind):
+    for his, masses in optimal_blocks_per_gamma(hist, spec.gammas, spec.likelihood_kind, tables):
         widths = np.diff(his, prepend=-1)
-        cell_logp = np.array(
-            [math.log(m) - log_n - math.log(w) for m, w in zip(masses.tolist(), widths.tolist())]
-        )
-        idx = np.searchsorted(his, counts)
+        cell_logp = (ln_tab[masses] - log_n) - ln_tab[widths]
+        # value -> its bin's per-cell log-probability, over [0, max_count]
+        per_value = np.repeat(cell_logp, widths)
         # cumsum adds sequentially, unlike the pairwise np.sum
-        values.append(float(np.cumsum(cell_logp[np.minimum(idx, len(his) - 1)])[-1]))
+        values.append(float(np.cumsum(per_value[clamped])[-1]))
     return tuple(values)
 
 
@@ -110,20 +130,24 @@ def descending_rank_indices(means: list[float], gammas: tuple[float, ...]) -> li
     return pos
 
 
-def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
-    """Full grid evaluation; deterministic for fixed records and spec.
+def _search(records: list[CountRecord], spec: GridSpec):
+    """The grid search of select_gamma; returns (selection, the records'
+    count column, the log tables every fit of the search sliced).
 
-    Each (ratio, seed) split is drawn and scored once for every gamma; the
-    means are then reduced in canonical (gamma, ratio, seed) order, so
-    results do not depend on the evaluation schedule.
+    The tables are sized like the smoothed histogram of all the records,
+    which no train side exceeds, so the final fit on all of them reuses
+    them too. They belong to this call and are freed with its result.
     """
     if not records:
         raise ValidationError("records must be non-empty")
+    counts = record_counts(records)
+    c_max = int(counts.max())
+    tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
     loglik = {}
     for ri, ratio in enumerate(spec.ratios):
         for seed in range(spec.n_seeds):
-            train, test = split_records(records, ratio, seed)
-            loglik[ri, seed] = held_out_log_likelihood(train, test, spec)
+            train, test = _index_split(len(counts), ratio, seed)
+            loglik[ri, seed] = _held_out(counts[train], counts[test], spec, tables)
     means: dict[tuple[int, int], float] = {}
     table = []
     for gi, gamma in enumerate(spec.gammas):
@@ -140,17 +164,30 @@ def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
         for gi, p in enumerate(pos):
             sums[gi] += p
     best_gi = min(range(len(spec.gammas)), key=lambda gi: (sums[gi], spec.gammas[gi]))
-    return GammaSelection(
+    selection = GammaSelection(
         gamma_best=spec.gammas[best_gi],
         table=tuple(table),
         index_sums=tuple(zip(spec.gammas, sums)),
     )
+    return selection, counts, tables
+
+
+def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
+    """Full grid evaluation; deterministic for fixed records and spec.
+
+    Each (ratio, seed) split is drawn and scored once for every gamma; the
+    means are then reduced in canonical (gamma, ratio, seed) order, so
+    results do not depend on the evaluation schedule.
+    """
+    return _search(records, spec)[0]
 
 
 def optimal_bins(records: list[CountRecord], spec: GridSpec) -> Partition:
-    """Grid-search gamma, then fit uncapped bins on all the records."""
-    gamma = select_gamma(records, spec).gamma_best
-    return fit_partition(records, BinningConfig(gamma, None, spec.beta, spec.likelihood_kind))
+    """Grid-search gamma, then fit uncapped bins on all the records; equal
+    to fit_partition at the selected gamma."""
+    selection, counts, tables = _search(records, spec)
+    hist = smooth(count_histogram(counts), spec.beta)
+    return optimal_partition(hist, PriorConfig(selection.gamma_best), spec.likelihood_kind, tables)
 
 
 def tuning_report_json_dict(selection: GammaSelection) -> dict:

@@ -335,6 +335,12 @@ class TestBadInputFiles:
             pytest.param(lambda d: d.update(beta=1.5), "'beta' must be an integer, got 1.5", id="beta-float"),
             pytest.param(lambda d: d.update(beta=True), "'beta' must be an integer, got True", id="beta-bool"),
             pytest.param(lambda d: d["bins"][-1].update(hi=10**30), f"bin edge {10**30} exceeds the limit 1000000", id="hi-huge"),
+            pytest.param(lambda d: d.update(gamma="0.5"), "'gamma' must be a number, got '0.5'", id="gamma-string"),
+            pytest.param(lambda d: d.update(gamma=1.5), "gamma must lie in (0, 1), got 1.5", id="gamma-above-one"),
+            pytest.param(lambda d: d.update(map_score=True), "'map_score' must be a number, got True", id="map_score-bool"),
+            pytest.param(lambda d: d.update(map_score=float("nan")), "'map_score' must be finite, got nan", id="map_score-nan"),
+            pytest.param(lambda d: d.update(map_score=10**400), "int too large to convert to float", id="map_score-huge-int"),
+            pytest.param(lambda d: d.update(alpha=0), "alpha must be >= 1, got 0", id="alpha-zero"),
         ],
     )
     @pytest.mark.parametrize("command", ["plan", "loss", "eval"])

@@ -25,7 +25,7 @@ from countstrat import (
     partition_to_json_dict,
     prior_log_prob,
 )
-from countstrat.stratify import MAX_MASS
+from countstrat.stratify import MAX_MASS, _CellData, log_tables
 
 MULTI = LikelihoodKind.MULTINOMIAL
 POIS = LikelihoodKind.POISSON
@@ -296,6 +296,28 @@ class TestOptimalPartition:
             optimal_partition(h, PriorConfig(0.5), MULTI)
         with pytest.raises(ValidationError, match="exceeds the limit"):
             optimal_bins_per_gamma(h, (0.5,), MULTI)
+
+    @pytest.mark.parametrize(
+        "freqs, top",
+        [
+            ((3, 1, 4, 1, 5, 9, 2, 6), 31),  # top = total 31 > C + 1 = 8
+            ((1,) + (0,) * 40 + (2,), 42),  # top = C + 1 = 42 > total 3
+        ],
+    )
+    def test_shared_log_tables_slice_bit_equal(self, freqs, top):
+        # a search slices one pair of tables sized by its whole input; every
+        # fit must see the arrays it would have built on its own
+        h = CountHistogram(len(freqs) - 1, freqs)
+        own = _CellData(h)
+        shared = _CellData(h, log_tables(h.total + 500, h.max_count + 300))
+        assert len(own.ln_tab) == top + 1 and len(own.ln_fact) == h.total + 1
+        assert own.ln_tab[1:].tolist() == [math.log(k) for k in range(1, top + 1)]
+        assert own.ln_fact.tolist() == [math.lgamma(k + 1) for k in range(h.total + 1)]
+        for name in ("ln_tab", "ln_fact", "cell_lg"):
+            a, b = getattr(own, name), getattr(shared, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        with pytest.raises(ValidationError, match="too short"):
+            _CellData(h, log_tables(h.total - 1, h.max_count))
 
     def test_large_dense_histogram_runs(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from countstrat import (
     CountRecord,
@@ -20,8 +22,8 @@ from countstrat import (
     split_records,
 )
 from countstrat import jsonfmt
-from countstrat.stratify import PriorConfig
-from countstrat.tuning import descending_rank_indices, tuning_report_json_dict
+from countstrat.stratify import MAX_MASS, PriorConfig, partition_to_json_dict
+from countstrat.tuning import DEFAULT_GAMMAS, descending_rank_indices, tuning_report_json_dict
 
 
 def make_records(counts):
@@ -177,6 +179,11 @@ class TestSelectGamma:
         spec = GridSpec(gammas=(0.25, 0.75), ratios=(0.25,), n_seeds=2)
         assert select_gamma(recs, spec).gamma_best in spec.gammas
 
+    def test_mass_limit_checked_once_for_the_input(self):
+        # the search's log tables are sized by the whole smoothed input
+        with pytest.raises(ValidationError, match="histogram mass 20000002 exceeds the limit"):
+            select_gamma(make_records([0, 1]), GridSpec(beta=MAX_MASS))
+
     def test_report_json_shape(self):
         recs = make_records([0, 1, 2, 3, 4, 10, 20, 40])
         spec = GridSpec(gammas=(0.25, 0.75), ratios=(0.25,), n_seeds=2)
@@ -186,7 +193,16 @@ class TestSelectGamma:
         assert set(doc["index_sums"]) == {"0.25", "0.75"}
 
 
+def sha256(doc: dict) -> str:
+    return hashlib.sha256(jsonfmt.dumps(doc).encode("utf-8")).hexdigest()
+
+
 class TestSelectGammaPinned:
+    @staticmethod
+    def records():
+        rng = np.random.default_rng(20240)
+        return make_records(int(c) for c in np.rint(rng.lognormal(4.5, 0.6, size=2000)))
+
     # sha256 of the report written by the earlier one-fit-per-gamma grid
     # search; at C = 714 over 285 cells the DP prunes most starts
     @pytest.mark.parametrize(
@@ -197,11 +213,87 @@ class TestSelectGammaPinned:
         ],
     )
     def test_report_digest(self, kind, digest):
-        rng = np.random.default_rng(20240)
-        recs = make_records(int(c) for c in np.rint(rng.lognormal(4.5, 0.6, size=2000)))
-        sel = select_gamma(recs, GridSpec(n_seeds=1, likelihood_kind=kind))
-        doc = jsonfmt.dumps(tuning_report_json_dict(sel))
-        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
+        sel = select_gamma(self.records(), GridSpec(n_seeds=1, likelihood_kind=kind))
+        assert sha256(tuning_report_json_dict(sel)) == digest
+
+    # sha256 of the tune report and the bin partition written by the
+    # per-record split, histogram and scoring path; beta = 0 leaves the
+    # train histograms unsmoothed, so log tables end at C + 1 or the mass
+    @pytest.mark.parametrize(
+        "kind, report_digest, partition_digest",
+        [
+            (
+                LikelihoodKind.MULTINOMIAL,
+                "563ebf5e55fe7a3d0fc19d950b191dfb2b09745a0003116f897d4fadbb174c92",
+                "093192904a6c7d9ce20999ffa2014b5ddcc228b066e2672613f51448960241bb",
+            ),
+            (
+                LikelihoodKind.POISSON,
+                "a6b1220eaa9d5023bf742f59c9df71c9af6aec611a67a31b15d7ee525857b337",
+                "ac951ba0b2ef71a01ddfa0dec176fc7249ca821d50222b2c9cffb23f4b167007",
+            ),
+        ],
+    )
+    def test_unsmoothed_digests(self, kind, report_digest, partition_digest):
+        spec = GridSpec(n_seeds=3, beta=0, likelihood_kind=kind)
+        assert sha256(tuning_report_json_dict(select_gamma(self.records(), spec))) == report_digest
+        assert sha256(partition_to_json_dict(optimal_bins(self.records(), spec), spec.beta)) == partition_digest
+
+
+def reference_selection(records, spec):
+    """(gamma_best, table) of select_gamma from the record-list pieces only:
+    split_records, one optimal_partition per gamma, a scalar locate_bin sum
+    in test order, then the documented mean and rank-sum rules."""
+    n_g = len(spec.gammas)
+    loglik = {}
+    for ri, ratio in enumerate(spec.ratios):
+        for seed in range(spec.n_seeds):
+            train, test = split_records(records, ratio, seed)
+            hist = smooth(build_histogram(train), spec.beta)
+            row = []
+            for gamma in spec.gammas:
+                bins = optimal_partition(hist, PriorConfig(gamma), spec.likelihood_kind).bins
+                total = 0.0
+                for rec in test:
+                    b = bins[locate_bin(bins, rec.count)[0]]
+                    total += math.log(sum(hist.freqs[b.lo : b.hi + 1])) - math.log(hist.total) - math.log(b.width)
+                row.append(total)
+            loglik[ri, seed] = row
+    means, table = {}, []
+    for gi, gamma in enumerate(spec.gammas):
+        for ri, ratio in enumerate(spec.ratios):
+            acc = 0.0
+            for seed in range(spec.n_seeds):
+                acc += loglik[ri, seed][gi]
+            means[gi, ri] = acc / spec.n_seeds
+            table.append((gamma, ratio, means[gi, ri]))
+    sums = [0] * n_g
+    for ri in range(len(spec.ratios)):
+        order = sorted(range(n_g), key=lambda gi: (-means[gi, ri], spec.gammas[gi]))
+        for rank, gi in enumerate(order):
+            sums[gi] += rank
+    best = min(range(n_g), key=lambda gi: (sums[gi], spec.gammas[gi]))
+    return spec.gammas[best], tuple(table)
+
+
+@settings(max_examples=60)
+@given(
+    counts=st.lists(st.integers(0, 300), min_size=2, max_size=200),
+    gammas=st.lists(st.sampled_from(DEFAULT_GAMMAS), min_size=1, max_size=3, unique=True),
+    ratios=st.lists(st.sampled_from((0.1, 0.2, 0.25, 0.4)), min_size=1, max_size=2, unique=True),
+    n_seeds=st.integers(1, 2),
+    beta=st.sampled_from((0, 1)),
+    kind=st.sampled_from(tuple(LikelihoodKind)),
+)
+# [0, 300] holds out 300 above the train maximum 0 (clamped); [300, 0, 7]
+# trains on 300 and one other count, a beta = 0 mass of 2 below C + 1 = 301
+@example(counts=[0, 300], gammas=[0.5], ratios=[0.25], n_seeds=1, beta=0, kind=LikelihoodKind.MULTINOMIAL)
+@example(counts=[300, 0, 7], gammas=[0.1, 0.9], ratios=[0.25], n_seeds=2, beta=0, kind=LikelihoodKind.POISSON)
+def test_select_gamma_equals_reference(counts, gammas, ratios, n_seeds, beta, kind):
+    recs = make_records(counts)
+    spec = GridSpec(tuple(gammas), tuple(ratios), n_seeds, beta, kind)
+    sel = select_gamma(recs, spec)
+    assert (sel.gamma_best, sel.table) == reference_selection(recs, spec)
 
 
 class TestOptimalBins:
