@@ -7,11 +7,13 @@ bins. The maximizer over all contiguous partitions is found by dynamic
 programming over histogram cells; a brute-force enumerator over the same
 candidate space serves as a verification oracle for small inputs.
 
-Split points fall on cell boundaries (a cell is one count value with
-nonzero frequency), so a run of identical counts is never split across
-bins. Bins are delimited by their start cells: a bin stretches from its
-first cell to the cell just before the next bin's first cell, the first
-bin starts at count 0, and the last bin ends at the histogram's max count.
+Split points fall on cell edges, so a run of identical counts is never
+split across bins. With c_0 < ... < c_{M-1} the counts of nonzero
+frequency and C the histogram's max count, the edges are
+[0, c_1, ..., c_{M-1}, C + 1] and cell j covers the counts edges[j] ..
+edges[j+1] - 1. A bin is a run of cells s..r and covers the counts
+edges[s] .. edges[r+1] - 1, so the first bin starts at count 0 and the
+last ends at C.
 
 Determinism is handled at two levels. The dynamic program and the direct
 scoring path share one float convention (per-cell log-gamma terms summed
@@ -266,8 +268,9 @@ def log_tables(mass: int, max_count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CellData:
-    """Per-histogram arrays shared by the DP paths and the oracle; the log
-    tables are prefixes of ``tables`` (from log_tables) when given."""
+    """Per-histogram arrays shared by the DP paths and the oracle. Cell j
+    covers the counts edges[j] .. edges[j+1] - 1; the log tables are
+    prefixes of ``tables`` (from log_tables) when given."""
 
     def __init__(self, hist: CountHistogram, tables: tuple[np.ndarray, np.ndarray] | None = None):
         total = hist.total
@@ -275,47 +278,35 @@ class _CellData:
         top = max(total, hist.max_count + 1)
         if len(ln_tab) <= top or len(ln_fact) <= total:
             raise ValidationError(f"log tables too short for histogram mass {total} over [0, {hist.max_count}]")
-        support = hist.support
-        if not support:
+        freqs = np.array(hist.freqs, dtype=np.int64)
+        support = np.flatnonzero(freqs)
+        if not len(support):
             raise ValidationError("histogram must have positive total mass")
-        self.support = support
-        self.max_count = hist.max_count
-        self.masses = np.array([hist.freqs[c] for c in support], dtype=np.int64)
+        self.edges = np.concatenate(([0], support[1:], [len(freqs)]))
+        self.masses = freqs[support]
         self.mass_cum = np.concatenate(([0], np.cumsum(self.masses)))
         self.ln_tab, self.ln_fact = ln_tab[: top + 1], ln_fact[: total + 1]
         self.cell_lg = self.ln_fact[self.masses]
-        # block starting at cell i has lo = 0 for i == 0, else the cell value
-        self.lo_arr = np.array(support, dtype=np.int64)
-        self.lo_arr[0] = 0
 
     @property
     def n_cells(self) -> int:
-        return len(self.support)
+        return len(self.masses)
 
     @property
     def exact_ties_enabled(self) -> bool:
         return self.n_cells <= _EXACT_TIE_CELL_LIMIT and int(self.mass_cum[-1]) <= _EXACT_TIE_MASS_LIMIT
 
-    def block_end(self, j: int) -> int:
-        if j == self.n_cells - 1:
-            return self.max_count
-        return self.support[j + 1] - 1
-
     def blocks(self, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Upper edges and masses of the blocks given by the cell indices
         starting each block (starts[0] == 0)."""
-        s = np.array(starts)
-        his = np.append(self.lo_arr[s[1:]] - 1, self.max_count)
-        return his, np.diff(self.mass_cum[np.append(s, self.n_cells)])
+        bounds = np.append(starts, self.n_cells)
+        return self.edges[bounds[1:]] - 1, np.diff(self.mass_cum[bounds])
 
-    def block_scores(
-        self, r: int, mass_before: np.ndarray, lo: np.ndarray, lgamma_acc: np.ndarray, kind: LikelihoodKind
-    ) -> np.ndarray:
-        """Scores of the blocks ending at cell r whose starts have the given
-        mass_cum and lo_arr entries; lgamma_acc holds the left-to-right sums
-        of cell_lg from each start to r."""
-        bmass = self.mass_cum[r + 1] - mass_before
-        widths = (self.block_end(r) + 1) - lo
+    def block_scores(self, r: int, starts, lgamma_acc: np.ndarray, kind: LikelihoodKind) -> np.ndarray:
+        """Scores of the blocks from each of the given start cells to cell r;
+        lgamma_acc holds the left-to-right sums of cell_lg over each block."""
+        bmass = self.mass_cum[r + 1] - self.mass_cum[starts]
+        widths = self.edges[r + 1] - self.edges[starts]
         if kind is LikelihoodKind.MULTINOMIAL:
             return (self.ln_fact[bmass] - lgamma_acc) - bmass * self.ln_tab[widths]
         return (bmass * (self.ln_tab[bmass] - self.ln_tab[widths]) - bmass) - lgamma_acc
@@ -331,7 +322,7 @@ class _CellData:
         key = Fraction(1)
         for start, nxt in zip(starts, starts[1:] + [r + 1]):
             mass = int(self.mass_cum[nxt] - self.mass_cum[start])
-            width = self.block_end(nxt - 1) - int(self.lo_arr[start]) + 1
+            width = int(self.edges[nxt] - self.edges[start])
             if kind is LikelihoodKind.MULTINOMIAL:
                 key *= Fraction(math.factorial(mass), width**mass)
             else:
@@ -406,7 +397,7 @@ def _dp(
     total = int(cells.mass_cum[-1])
     bound = (
         2.0 * math.lgamma(total + 1)
-        + total * (math.log(total) + math.log(cells.max_count + 1) + 1.0)
+        + total * (math.log(total) + math.log(cells.edges[-1]) + 1.0)
         + m * max(abs(math.log(x)) for x in gammas)
         + 1.0
     )
@@ -424,14 +415,6 @@ def _dp(
     rows = np.arange(n_rows)
     live = np.arange(m)  # the first n entries are the live starts, ascending
     acc = np.zeros(m)  # left-to-right sum of cell_lg from each live start to r
-    # both read the loop's current r, starts and row k when called; starts
-    # ascend, so _pick's lowest-index rule takes the earlier split
-    fewer_bins = lambda j: -nbins[k, starts[j]]
-    key = None
-    if cells.exact_ties_enabled:
-        key = lambda j: cells.exact_key(
-            _starts_from(last, shift, k, int(starts[j]) - 1) + [int(starts[j])], r, kind, gammas[k]
-        )
     n = 0
     for r in range(m):
         live[n], acc[n] = r, 0.0
@@ -440,7 +423,7 @@ def _dp(
         # a slice while nothing is pruned: views, not gathers
         cols = slice(0, n) if n == r + 1 else starts
         lg_sum += cells.cell_lg[r]
-        scores = cells.block_scores(r, cells.mass_cum[cols], cells.lo_arr[cols], lg_sum, kind)
+        scores = cells.block_scores(r, cols, lg_sum, kind)
         cand = best_src[:, cols] + scores
         cand += add
         picks = cand.argmax(axis=1)
@@ -450,6 +433,13 @@ def _dp(
         close = cand >= (top + near)[:, None]
         if np.count_nonzero(close) > n_rows:
             for k in np.flatnonzero(close.sum(axis=1) > 1):
+                # starts ascend, so _pick's lowest-index rule takes the earlier split
+                fewer_bins = lambda j, nb=nbins[k], s=starts: -nb[s[j]]
+                key = None
+                if cells.exact_ties_enabled:
+                    key = lambda j, k=k, s=starts, r=r: cells.exact_key(
+                        _starts_from(last, shift, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k]
+                    )
                 picks[k] = _pick(cand[k], top[k], fewer_bins, key)
         # store the float group maximum so chain error stays at ulp scale
         best[shift:, r + 1] = top
@@ -509,21 +499,14 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
     return _scored(hist, cells, starts, rcfg, kind)
 
 
-def optimal_bins_per_gamma(
-    hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind
-) -> Iterator[tuple[Bin, ...]]:
-    """Bins of the uncapped MAP partition for each gamma in order, from one
-    DP pass over the cells; each equals optimal_partition(hist,
-    PriorConfig(gamma), kind).bins. The DP runs before this returns; the
-    bins are built one gamma at a time as they are iterated."""
-    return (_bins(his) for his, _ in optimal_blocks_per_gamma(hist, gammas, kind))
-
-
 def optimal_blocks_per_gamma(
     hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind, tables=None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(upper edges, masses) of the optimal_bins_per_gamma bins as int64
-    arrays, without building Bin tuples; ``tables`` as in optimal_partition."""
+    """(upper edges, masses) of the uncapped MAP partition's bins for each
+    gamma in order, as int64 arrays from one DP pass over the cells; the
+    edges are those of optimal_partition(hist, PriorConfig(gamma),
+    kind).bins. The DP runs before this returns. ``tables`` as in
+    optimal_partition."""
     for gamma in gammas:
         PriorConfig(gamma)
     cells = _CellData(hist, tables)
@@ -550,7 +533,7 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
     table = {}
     for i in range(m):
         for j in range(i, m):
-            table[(i, j)] = bin_log_likelihood(hist, int(cells.lo_arr[i]), cells.block_end(j), kind)
+            table[(i, j)] = bin_log_likelihood(hist, int(cells.edges[i]), int(cells.edges[j + 1]) - 1, kind)
 
     cands, ranks = [], []
     for mask in range(1 << (m - 1)):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .counts import MAX_COUNT, CountRecord
 from .errors import ValidationError
-from .evaluate import EvalReport, PredictionRecord, evaluate
+from .evaluate import EvalReport, PredictionRecord, evaluate, report_json_dict
 from .loss import LossConfig, interval_loss, interval_loss_subgradient
 from .sampling import SamplingScheme, assign_bins, plan_epoch
 from .stratify import BinningConfig, Partition, fit_partition
@@ -224,8 +224,6 @@ def run_comparison(
 
 
 def comparison_json_dict(report: ComparisonReport) -> dict:
-    from .evaluate import report_json_dict
-
     return {
         "seeds": list(report.seeds),
         "win_counts": {s: w for s, w in report.win_counts},

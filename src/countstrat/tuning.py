@@ -24,6 +24,7 @@ import numpy as np
 
 from .counts import CountRecord, count_histogram, record_counts, smooth
 from .errors import ValidationError
+from .jsonfmt import format_float
 from .stratify import LikelihoodKind, Partition, PriorConfig, log_tables, optimal_blocks_per_gamma, optimal_partition
 
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -42,10 +43,12 @@ class GridSpec:
     likelihood_kind: LikelihoodKind = LikelihoodKind.MULTINOMIAL
 
     def __post_init__(self):
-        if not self.gammas or not all(0.0 < g < 1.0 for g in self.gammas):
-            raise ValidationError("gammas must be a non-empty list of values in (0, 1)")
-        if not self.ratios or not all(0.0 < r < 1.0 for r in self.ratios):
-            raise ValidationError("ratios must be a non-empty list of values in (0, 1)")
+        for name, values in (("gammas", self.gammas), ("ratios", self.ratios)):
+            if not values or not all(0.0 < v < 1.0 for v in values):
+                raise ValidationError(f"{name} must be a non-empty list of values in (0, 1)")
+            # a repeat would be scored twice and share one key in the report
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} must not repeat a value, got {', '.join(map(str, values))}")
         if self.n_seeds < 1:
             raise ValidationError("n_seeds must be >= 1")
         if self.beta < 0:
@@ -191,8 +194,6 @@ def optimal_bins(records: list[CountRecord], spec: GridSpec) -> Partition:
 
 
 def tuning_report_json_dict(selection: GammaSelection) -> dict:
-    from .jsonfmt import format_float
-
     return {
         "gamma_best": selection.gamma_best,
         "table": [

@@ -279,6 +279,16 @@ class TestTuneCommand:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--gammas", "0.5,0.5,0.2"), ("--ratios", "0.2,0.2")])
+    def test_duplicate_grid_value_fails(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        rc = main(["tune", str(FIXTURES / "counts50.csv"), flag, value, "--cv-seeds", "2", "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{flag[2:]} must not repeat a value" in err
+        assert not out.exists()
+
     def test_alpha_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["tune", str(FIXTURES / "counts50.csv"), "--alpha", "3"])

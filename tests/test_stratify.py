@@ -18,14 +18,13 @@ from countstrat import (
     bin_log_likelihood,
     brute_force_partition,
     locate_bin,
-    optimal_bins_per_gamma,
     optimal_partition,
     partition_from_json_dict,
     partition_log_score,
     partition_to_json_dict,
     prior_log_prob,
 )
-from countstrat.stratify import MAX_MASS, _CellData, log_tables
+from countstrat.stratify import MAX_MASS, _CellData, log_tables, optimal_blocks_per_gamma
 
 MULTI = LikelihoodKind.MULTINOMIAL
 POIS = LikelihoodKind.POISSON
@@ -288,14 +287,14 @@ class TestOptimalPartition:
             with pytest.raises(ValidationError, match="positive total mass"):
                 fit(h, PriorConfig(0.5), MULTI)
         with pytest.raises(ValidationError, match="positive total mass"):
-            optimal_bins_per_gamma(h, (0.5,), MULTI)
+            optimal_blocks_per_gamma(h, (0.5,), MULTI)
 
     def test_mass_limit(self):
         h = CountHistogram(1, (MAX_MASS, 1))
         with pytest.raises(ValidationError, match="exceeds the limit"):
             optimal_partition(h, PriorConfig(0.5), MULTI)
         with pytest.raises(ValidationError, match="exceeds the limit"):
-            optimal_bins_per_gamma(h, (0.5,), MULTI)
+            optimal_blocks_per_gamma(h, (0.5,), MULTI)
 
     @pytest.mark.parametrize(
         "freqs, top",
@@ -374,10 +373,13 @@ def test_multi_gamma_dp_equals_single_and_oracle(freqs, others, at, kind):
     # 0.5 makes merging two equal cells an exact tie
     gammas = tuple(others[:at]) + (0.5,) + tuple(others[at:])
     h = CountHistogram(len(freqs) - 1, tuple(freqs))
-    got = list(optimal_bins_per_gamma(h, gammas, kind))
+    got = list(optimal_blocks_per_gamma(h, gammas, kind))
     assert len(got) == len(gammas)
-    for gamma, bins in zip(gammas, got):
-        assert bins == optimal_partition(h, PriorConfig(gamma), kind).bins
+    for gamma, (his, masses) in zip(gammas, got):
+        assert his.dtype == masses.dtype == np.int64
+        bins = optimal_partition(h, PriorConfig(gamma), kind).bins
+        assert his.tolist() == [b.hi for b in bins]
+        assert masses.tolist() == [sum(h.freqs[b.lo : b.hi + 1]) for b in bins]
         assert bins == brute_force_partition(h, PriorConfig(gamma), kind).bins
 
 

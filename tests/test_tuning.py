@@ -334,6 +334,12 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(beta=-1)
 
+    @pytest.mark.parametrize("field", ["gammas", "ratios"])
+    def test_duplicate_values_rejected(self, field):
+        # a repeated gamma would be scored twice and share one report key
+        with pytest.raises(ValidationError, match=f"{field} must not repeat a value"):
+            GridSpec(**{field: (0.5, 0.2, 0.5)})
+
     def test_likelihood_kind_flows_through(self):
         recs = make_records([0, 0, 1, 2, 4, 4, 9, 9])
         spec = GridSpec(gammas=(0.5,), ratios=(0.25,), n_seeds=2, likelihood_kind=LikelihoodKind.POISSON)
