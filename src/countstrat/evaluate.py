@@ -20,6 +20,8 @@ from .jsonfmt import format_float
 from .stratify import Bin, Partition, locate_bins
 
 PRED_CSV_HEADER = ("id", "count_true", "count_pred")
+# bound on |count_pred|: squared errors and their sums stay finite
+MAX_PREDICTION = 1e100
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,8 @@ class PredictionRecord:
     def __post_init__(self):
         if self.y < 0:
             raise ValidationError(f"ground-truth count must be >= 0, got {self.y}")
+        if not abs(self.y_hat) <= MAX_PREDICTION:
+            raise ValidationError(f"prediction {self.y_hat} for id {self.id!r} is not finite or exceeds {MAX_PREDICTION:g} in magnitude")
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,8 @@ def parse_predictions(text: str) -> list[PredictionRecord]:
             y_hat = float(row[2].strip())
         except ValueError:
             raise ParseError(f"line {lineno}: malformed numeric fields {row[1]!r}, {row[2]!r}") from None
-        if not math.isfinite(y_hat):
-            raise ParseError(f"line {lineno}: non-finite prediction {row[2]!r}")
+        if not abs(y_hat) <= MAX_PREDICTION:
+            raise ParseError(f"line {lineno}: prediction {row[2]!r} is not finite or exceeds {MAX_PREDICTION:g} in magnitude")
         if y > MAX_COUNT:
             raise ParseError(f"line {lineno}: ground-truth count {y} exceeds the limit {MAX_COUNT}")
         if y < 0:

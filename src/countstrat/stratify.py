@@ -25,8 +25,11 @@ patterns, or gamma values whose log cancels a likelihood difference) are
 generally not float ties.
 
 One forward pass (_dp) serves both fits, with one row per gamma (uncapped,
-every gamma at once) or per bin count (capped). Each cell's block scores are
-computed once for all rows, and starts that can no longer win are pruned.
+every gamma at once) or per bin count (capped), for each of a stack of
+histograms that share their cell edges (the train sides of a grid search's
+splits; one histogram otherwise). Each cell's block scores are computed
+once per histogram for all its rows, and starts that can no longer win in
+any row are pruned.
 """
 
 from __future__ import annotations
@@ -267,53 +270,70 @@ def log_tables(mass: int, max_count: int) -> tuple[np.ndarray, np.ndarray]:
     return ln_tab, ln_fact
 
 
-class _CellData:
-    """Per-histogram arrays shared by the DP paths and the oracle. Cell j
-    covers the counts edges[j] .. edges[j+1] - 1; the log tables are
-    prefixes of ``tables`` (from log_tables) when given."""
+def _cell_edges(freqs: np.ndarray) -> np.ndarray:
+    """Cell edges [0, c_1, ..., c_{M-1}, C + 1] of a frequency row over [0, C]
+    whose nonzero counts are c_0 < ... < c_{M-1}."""
+    support = np.flatnonzero(freqs)
+    if not len(support):
+        raise ValidationError("histogram must have positive total mass")
+    return np.concatenate(([0], support[1:], [len(freqs)]))
 
-    def __init__(self, hist: CountHistogram, tables: tuple[np.ndarray, np.ndarray] | None = None):
-        total = hist.total
-        ln_tab, ln_fact = tables or log_tables(total, hist.max_count)
-        top = max(total, hist.max_count + 1)
+
+class _CellData:
+    """Arrays shared by the DP paths and the oracle for a stack of G
+    frequency rows over [0, C] with one set of cells: cell j covers the
+    counts edges[j] .. edges[j+1] - 1 in every row, and row g of mass_cum
+    and cell_lg belongs to histogram g. The log tables cover the
+    largest mass and are prefixes of ``tables`` (from log_tables) when given."""
+
+    def __init__(self, freqs, tables: tuple[np.ndarray, np.ndarray] | None = None):
+        freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
+        edges = [_cell_edges(row) for row in freqs]
+        if any(not np.array_equal(e, edges[0]) for e in edges[1:]):
+            raise ValidationError("stacked histograms must share their cell edges")
+        self.edges = edges[0]
+        masses = np.add.reduceat(freqs, self.edges[:-1], axis=1)
+        self.mass_cum = np.concatenate((np.zeros((len(freqs), 1), np.int64), np.cumsum(masses, axis=1)), axis=1)
+        total, max_count = int(self.mass_cum[:, -1].max()), freqs.shape[1] - 1
+        ln_tab, ln_fact = tables or log_tables(total, max_count)
+        top = max(total, max_count + 1)
         if len(ln_tab) <= top or len(ln_fact) <= total:
-            raise ValidationError(f"log tables too short for histogram mass {total} over [0, {hist.max_count}]")
-        freqs = np.array(hist.freqs, dtype=np.int64)
-        support = np.flatnonzero(freqs)
-        if not len(support):
-            raise ValidationError("histogram must have positive total mass")
-        self.edges = np.concatenate(([0], support[1:], [len(freqs)]))
-        self.masses = freqs[support]
-        self.mass_cum = np.concatenate(([0], np.cumsum(self.masses)))
+            raise ValidationError(f"log tables too short for histogram mass {total} over [0, {max_count}]")
         self.ln_tab, self.ln_fact = ln_tab[: top + 1], ln_fact[: total + 1]
-        self.cell_lg = self.ln_fact[self.masses]
+        self.cell_lg = self.ln_fact[masses]
+
+    @property
+    def n_hists(self) -> int:
+        return len(self.mass_cum)
 
     @property
     def n_cells(self) -> int:
-        return len(self.masses)
+        return len(self.edges) - 1
 
-    @property
-    def exact_ties_enabled(self) -> bool:
-        return self.n_cells <= _EXACT_TIE_CELL_LIMIT and int(self.mass_cum[-1]) <= _EXACT_TIE_MASS_LIMIT
+    def exact_ties(self, g: int = 0) -> bool:
+        """Whether near ties of histogram g are re-ranked exactly."""
+        return self.n_cells <= _EXACT_TIE_CELL_LIMIT and int(self.mass_cum[g, -1]) <= _EXACT_TIE_MASS_LIMIT
 
-    def blocks(self, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Upper edges and masses of the blocks given by the cell indices
-        starting each block (starts[0] == 0)."""
+    def blocks(self, starts: list[int], g: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Upper edges and histogram g's masses of the blocks given by the
+        cell indices starting each block (starts[0] == 0)."""
         bounds = np.append(starts, self.n_cells)
-        return self.edges[bounds[1:]] - 1, np.diff(self.mass_cum[bounds])
+        return self.edges[bounds[1:]] - 1, np.diff(self.mass_cum[g, bounds])
 
     def block_scores(self, r: int, starts, lgamma_acc: np.ndarray, kind: LikelihoodKind) -> np.ndarray:
-        """Scores of the blocks from each of the given start cells to cell r;
-        lgamma_acc holds the left-to-right sums of cell_lg over each block."""
-        bmass = self.mass_cum[r + 1] - self.mass_cum[starts]
-        widths = self.edges[r + 1] - self.edges[starts]
+        """Scores of the blocks from each of the given start cells to cell r,
+        one row per histogram; lgamma_acc holds the left-to-right sums of
+        cell_lg over each block."""
+        bmass = self.mass_cum[:, r + 1, None] - self.mass_cum[:, starts]
+        ln_width = self.ln_tab[self.edges[r + 1] - self.edges[starts]]
         if kind is LikelihoodKind.MULTINOMIAL:
-            return (self.ln_fact[bmass] - lgamma_acc) - bmass * self.ln_tab[widths]
-        return (bmass * (self.ln_tab[bmass] - self.ln_tab[widths]) - bmass) - lgamma_acc
+            return (self.ln_fact[bmass] - lgamma_acc) - bmass * ln_width
+        return (bmass * (self.ln_tab[bmass] - ln_width) - bmass) - lgamma_acc
 
-    def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float) -> Fraction:
-        """Exact rational ranking key of the partition of cells 0..r given by
-        the block start indices, with the prior factor gamma per bin.
+    def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float, g: int = 0) -> Fraction:
+        """Exact rational ranking key of the partition of histogram g's cells
+        0..r given by the block start indices, with the prior factor gamma
+        per bin.
 
         Partition-constant factors (the per-cell factorials and, for Poisson,
         exp(-total)) are dropped, so keys are only comparable for the same
@@ -321,7 +341,7 @@ class _CellData:
         """
         key = Fraction(1)
         for start, nxt in zip(starts, starts[1:] + [r + 1]):
-            mass = int(self.mass_cum[nxt] - self.mass_cum[start])
+            mass = int(self.mass_cum[g, nxt] - self.mass_cum[g, start])
             width = int(self.edges[nxt] - self.edges[start])
             if kind is LikelihoodKind.MULTINOMIAL:
                 key *= Fraction(math.factorial(mass), width**mass)
@@ -361,7 +381,7 @@ def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
     0..r (empty for r < 0); the prefix before each block is shift rows up."""
     starts = []
     while r >= 0:
-        starts.append(int(last[k, r]))
+        starts.append(last.item(k, r))
         r, k = starts[-1] - 1, k - shift
     return starts[::-1]
 
@@ -369,32 +389,37 @@ def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
 def _dp(
     cells: _CellData, gammas: tuple[float, ...], add: np.ndarray, shift: int, kind: LikelihoodKind
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward DP over cells, one row per entry of ``add``; returns (best, last).
+    """Forward DP over cells with one row per (histogram g, entry k of
+    ``add``); returns (top, last).
 
-    Column r + 1 of a row is the best score over cells 0..r, column 0 the
-    empty prefix. Row k + shift extends row k's optimum over cells 0..s-1 by
-    the block s..r plus add[k]; last[k + shift, r] is the winning s. The
-    first ``shift`` rows hold the empty partition (0, then -inf); with shift
-    0 each row extends itself. Shift 0 with add ln(gamma) is the uncapped DP
-    per gamma, shift 1 with add 0 puts the best b-bin partitions in row b.
-    gammas[k] is row k's prior factor in exact keys.
+    Row (g, k + shift) extends row (g, k)'s optimum over cells 0..s-1 by the
+    block s..r plus add[k]; last[g, k + shift, r] is the winning s and
+    top[g, k] the best score over all cells. The first ``shift`` rows hold
+    the empty partition (0, then -inf); with shift 0 each row extends
+    itself. Shift 0 with add ln(gamma) is the uncapped DP per gamma, shift 1
+    with add 0 puts the best b-bin partitions in row b. gammas[k] is row k's
+    prior factor in exact keys.
 
     Ties resolve to fewer bins, then the earlier split, at every prefix,
     which matches comparing full partitions by (score, n_bins, reversed
-    split sequence); near ties are re-ranked exactly (see _TIE_REL_WINDOW)
-    on small instances. Block scores are computed once per cell for all
-    rows. Merging blocks never raises the likelihood, so a start whose
-    candidate at cell r is below best[k](r + 1) + add[k] loses to the start
-    r + 1 at every later cell (PELT with K = 0); it leaves the live set once
-    it is below by more than ``slack`` in every row, which keeps it out of
-    every later tie window. Capped rows never prune: row 0 is -inf past
-    column 0, so row 1 keeps every start.
+    split sequence): for all rows at once, a candidate must hit the top
+    exactly; rows of a histogram small enough for exact keys re-rank their
+    near ties exactly through _pick instead (see _TIE_REL_WINDOW). Block
+    scores are computed once per histogram and cell for all its rows.
+    Merging blocks never raises the likelihood, so a start whose candidate
+    at cell r is below the row's best over cells 0..r plus add[k] loses to
+    the start r + 1 at every later cell (PELT with K = 0); it leaves the
+    live set once it is below by more than ``slack`` in every row, which
+    keeps it out of every later tie window of every row. Capped rows never
+    prune: row 0 is -inf past column 0, so row 1 keeps every start. The
+    best score and bin count before each start are kept only for the live
+    starts, aligned with ``live``.
     """
-    m, n_rows = cells.n_cells, len(add)
-    # bound >= |score| of any partition of any prefix, and of every term
-    # summed into one: block log(mass!), cell log(f!) sums, mass*log(mass),
-    # mass*log(width), the Poisson mass term, and the prior
-    total = int(cells.mass_cum[-1])
+    m, n_hists, n_rows = cells.n_cells, cells.n_hists, len(add)
+    # bound >= |score| of any partition of any prefix of any histogram, and
+    # of every term summed into one: block log(mass!), cell log(f!) sums,
+    # mass*log(mass), mass*log(width), the Poisson mass term, and the prior
+    total = int(cells.mass_cum[:, -1].max())
     bound = (
         2.0 * math.lgamma(total + 1)
         + total * (math.log(total) + math.log(cells.edges[-1]) + 1.0)
@@ -407,56 +432,77 @@ def _dp(
     cut = add - slack
     # every member of _pick's near set lies at or above this below the top
     near = -2.0 * _TIE_REL_WINDOW * bound
-    best = np.full((shift + n_rows, m + 1), -np.inf)
-    best[: shift or n_rows, 0] = 0.0
-    nbins = np.zeros((shift + n_rows, m + 1), dtype=np.int64)
-    last = np.zeros((shift + n_rows, m), dtype=np.int64)
-    best_src = best[:n_rows]
-    rows = np.arange(n_rows)
+    exact = [g for g in range(n_hists) if cells.exact_ties(g)]
+    # bin counts and starts are at most m
+    small = np.int16 if m < 2**15 else np.int32
+    last = np.zeros((n_hists, shift + n_rows, m), dtype=small)
+    # the rows' optimum over the empty prefix, then over cells 0..r
+    top = np.full((n_hists, n_rows), -np.inf if shift else 0.0)
+    top_nbins = np.zeros((n_hists, n_rows), dtype=small)
     live = np.arange(m)  # the first n entries are the live starts, ascending
-    acc = np.zeros(m)  # left-to-right sum of cell_lg from each live start to r
+    # aligned with live, 64 columns at a time: the left-to-right sum of
+    # cell_lg from each live start to r, and row k's best score and bin
+    # count before it (the rows before shift keep their fill, the others
+    # are set on entry)
+    acc = np.zeros((n_hists, 64))
+    best = np.full((n_hists, shift + n_rows, 64), -np.inf)
+    best[:, :shift, 0] = 0.0
+    nbins = np.zeros(best.shape, dtype=small)
+    hists, rows = np.ogrid[:n_hists, :n_rows]
     n = 0
     for r in range(m):
-        live[n], acc[n] = r, 0.0
+        if n == acc.shape[1]:
+            acc = np.pad(acc, ((0, 0), (0, 64)))
+            best = np.pad(best, ((0, 0), (0, 0), (0, 64)), constant_values=-np.inf)
+            nbins = np.pad(nbins, ((0, 0), (0, 0), (0, 64)))
+        live[n], acc[:, n], best[:, shift:, n], nbins[:, shift:, n] = r, 0.0, top, top_nbins
         n += 1
-        starts, lg_sum = live[:n], acc[:n]
+        starts, lg_sum = live[:n], acc[:, :n]
+        src, src_nbins = best[:, :n_rows, :n], nbins[:, :n_rows, :n]
+        lg_sum += cells.cell_lg[:, r, None]
         # a slice while nothing is pruned: views, not gathers
-        cols = slice(0, n) if n == r + 1 else starts
-        lg_sum += cells.cell_lg[r]
-        scores = cells.block_scores(r, cols, lg_sum, kind)
-        cand = best_src[:, cols] + scores
+        scores = cells.block_scores(r, slice(0, n) if n == r + 1 else starts, lg_sum, kind)
+        cand = src + scores[:, None]
         cand += add
-        picks = cand.argmax(axis=1)
-        top = cand[rows, picks]
-        # every row has its top in the near set; a row with no partition yet
-        # (fewer cells than bins) is all -inf and resolves harmlessly
-        close = cand >= (top + near)[:, None]
-        if np.count_nonzero(close) > n_rows:
+        picks = cand.argmax(axis=2)
+        # store the float maximum as the next best, so chain error stays at ulp scale
+        top = cand[hists, rows, picks]
+        # the top exactly, then fewer bins, then the lowest index: starts
+        # ascend, so that is the earlier split
+        tied = cand == top[..., None]
+        if np.count_nonzero(tied) > n_hists * n_rows:
+            picks = np.where(tied, src_nbins, m).argmin(axis=2)
+        for g in exact:
+            # a row with no partition yet (fewer cells than bins) is all
+            # -inf and resolves harmlessly
+            close = cand[g] >= (top[g] + near)[:, None]
             for k in np.flatnonzero(close.sum(axis=1) > 1):
-                # starts ascend, so _pick's lowest-index rule takes the earlier split
-                fewer_bins = lambda j, nb=nbins[k], s=starts: -nb[s[j]]
-                key = None
-                if cells.exact_ties_enabled:
-                    key = lambda j, k=k, s=starts, r=r: cells.exact_key(
-                        _starts_from(last, shift, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k]
-                    )
-                picks[k] = _pick(cand[k], top[k], fewer_bins, key)
-        # store the float group maximum so chain error stays at ulp scale
-        best[shift:, r + 1] = top
-        last[shift:, r] = won = starts[picks]
-        nbins[shift:, r + 1] = nbins[rows, won] + 1
-        keep = (cand >= best_src[:, r + 1, None] + cut).any(axis=0)
+                fewer_bins = lambda j, nb=src_nbins[g, k]: -nb[j]
+                key = lambda j, g=g, k=k, s=starts, r=r: cells.exact_key(
+                    _starts_from(last[g], shift, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k], g
+                )
+                picks[g, k] = _pick(cand[g, k], top[g, k], fewer_bins, key)
+        last[:, shift:, r] = starts[picks]
+        top_nbins = src_nbins[hists, rows, picks] + 1
+        if shift:
+            continue
+        keep = (cand >= top[..., None] + cut).any(axis=(0, 1))
         n_keep = np.count_nonzero(keep)
         if n_keep < n:
-            live[:n_keep], acc[:n_keep] = starts[keep], lg_sum[keep]
+            live[:n_keep], acc[:, :n_keep] = starts[keep], lg_sum[:, keep]
+            best[:, :, :n_keep], nbins[:, :, :n_keep] = src[..., keep], src_nbins[..., keep]
             n = n_keep
-    return best, last
+    return top, last
 
 
-def _uncapped_starts(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> list[list[int]]:
-    """Block starts of the uncapped MAP partition for each gamma, from one pass."""
+def _uncapped_blocks(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> Iterator[list]:
+    """cells.blocks of the uncapped MAP partition for each gamma, one list
+    per histogram in order, from one pass; each list is built as it is
+    consumed, so one partition's block starts are alive at a time."""
     _, last = _dp(cells, gammas, np.array([math.log(x) for x in gammas]), 0, kind)
-    return [_starts_from(last, 0, k, cells.n_cells - 1) for k in range(len(gammas))]
+    m = cells.n_cells
+    for g, rows in enumerate(last):
+        yield [cells.blocks(_starts_from(rows, 0, k, m - 1), g) for k in range(len(gammas))]
 
 
 def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
@@ -464,21 +510,20 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
     the pass holds the best b-bin partitions, and the prior picks a row,
     fewer bins on ties."""
     m = cells.n_cells
-    best, last = _dp(cells, (gamma,) * alpha, np.zeros(alpha), 1, kind)
-    finals = best[1:, m] + np.arange(1, alpha + 1) * math.log(gamma)
+    top, last = _dp(cells, (gamma,) * alpha, np.zeros(alpha), 1, kind)
+    finals = top[0] + np.arange(1, alpha + 1) * math.log(gamma)
     key = None
-    if cells.exact_ties_enabled:
-        key = lambda b: cells.exact_key(_starts_from(last, 1, b + 1, m - 1), m - 1, kind, gamma)
+    if cells.exact_ties():
+        key = lambda b: cells.exact_key(_starts_from(last[0], 1, b + 1, m - 1), m - 1, kind, gamma)
     b = _pick(finals, float(finals.max()), np.negative, key) + 1
-    return _starts_from(last, 1, b, m - 1)
+    return _starts_from(last[0], 1, b, m - 1)
 
 
-def _scored(
-    hist: CountHistogram, cells: _CellData, starts: list[int], cfg: PriorConfig, kind: LikelihoodKind
-) -> Partition:
-    """The partition given by the block starts, with map_score recomputed
-    by partition_log_score so it matches direct rescoring bit for bit."""
-    partition = Partition(_bins(cells.blocks(starts)[0]), 0.0, cfg.gamma, kind, cfg.alpha)
+def _scored(hist: CountHistogram, his: np.ndarray, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
+    """The partition with the given bin upper edges, with map_score
+    recomputed by partition_log_score so it matches direct rescoring bit for
+    bit."""
+    partition = Partition(_bins(his), 0.0, cfg.gamma, kind, cfg.alpha)
     return replace(partition, map_score=partition_log_score(hist, partition, cfg, kind))
 
 
@@ -490,27 +535,42 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
     it matches direct rescoring bit for bit. ``tables`` (from log_tables,
     large enough for hist) saves rebuilding them; results do not change.
     """
-    cells = _CellData(hist, tables)
+    cells = _CellData(hist.freqs, tables)
     rcfg = cfg.resolved(cells.n_cells)
     if rcfg.alpha >= cells.n_cells:
-        starts = _uncapped_starts(cells, (cfg.gamma,), kind)[0]
+        his = next(_uncapped_blocks(cells, (cfg.gamma,), kind))[0][0]
     else:
-        starts = _capped_starts(cells, cfg.gamma, rcfg.alpha, kind)
-    return _scored(hist, cells, starts, rcfg, kind)
+        his = cells.blocks(_capped_starts(cells, cfg.gamma, rcfg.alpha, kind))[0]
+    return _scored(hist, his, rcfg, kind)
 
 
 def optimal_blocks_per_gamma(
-    hist: CountHistogram, gammas: tuple[float, ...], kind: LikelihoodKind, tables=None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(upper edges, masses) of the uncapped MAP partition's bins for each
-    gamma in order, as int64 arrays from one DP pass over the cells; the
-    edges are those of optimal_partition(hist, PriorConfig(gamma),
-    kind).bins. The DP runs before this returns. ``tables`` as in
-    optimal_partition."""
+    freqs, gammas: tuple[float, ...], kind: LikelihoodKind, tables=None
+) -> Iterator[tuple[int, list[tuple[np.ndarray, np.ndarray]]]]:
+    """Yield (g, blocks) for each frequency row g of ``freqs`` (a sequence of
+    int64 arrays, row g over [0, C_g]): blocks holds, for each gamma in
+    order, the (upper edges, masses) of the uncapped MAP partition's bins as
+    int64 arrays; the edges are those of optimal_partition(CountHistogram(C_g,
+    row), PriorConfig(gamma), kind).bins. Rows with the same cell edges are
+    fit together, in one DP pass per distinct edges, and yielded in the order
+    of their group's first row, each group after its pass. ``tables`` as in
+    optimal_partition, large enough for every row; the inputs are checked
+    before this returns."""
     for gamma in gammas:
         PriorConfig(gamma)
-    cells = _CellData(hist, tables)
-    return (cells.blocks(starts) for starts in _uncapped_starts(cells, tuple(gammas), kind))
+    groups: dict[bytes, list[int]] = {}
+    for g, row in enumerate(freqs):
+        groups.setdefault(_cell_edges(row).tobytes(), []).append(g)
+    tables = tables or log_tables(max(int(np.sum(row)) for row in freqs), max(len(row) for row in freqs) - 1)
+    return _blocks_by_group(freqs, groups.values(), tuple(gammas), kind, tables)
+
+
+def _blocks_by_group(freqs, groups, gammas, kind, tables):
+    """optimal_blocks_per_gamma's (g, blocks) pairs, one pass per group of
+    row indices."""
+    for members in groups:
+        cells = _CellData(np.stack([freqs[g] for g in members]), tables)
+        yield from zip(members, _uncapped_blocks(cells, gammas, kind))
 
 
 def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
@@ -527,7 +587,7 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
         raise ValidationError(
             f"brute force refuses {m} cells (limit {BRUTE_FORCE_MAX_CELLS}): 2^(M-1) partitions"
         )
-    cells = _CellData(hist)
+    cells = _CellData(hist.freqs)
     rcfg = cfg.resolved(m)
     ln_gamma = math.log(cfg.gamma)
     table = {}
@@ -550,10 +610,10 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
     # bin counts, the lexicographically smaller reversed split sequence
     n_bins = np.array([len(c) for c in cands])
     key = None
-    if cells.exact_ties_enabled:
+    if cells.exact_ties():
         key = lambda k: cells.exact_key(cands[k], m - 1, kind, cfg.gamma)
     pick = _pick(ranks, float(ranks.max()), lambda k: -n_bins[k], key)
-    return _scored(hist, cells, cands[pick], rcfg, kind)
+    return _scored(hist, cells.blocks(cands[pick])[0], rcfg, kind)
 
 
 def fit_partition(records, cfg: BinningConfig) -> Partition:

@@ -50,6 +50,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValidationError("n_samples must be >= 1")
+        for name in ("log_mean", "log_sigma", "noise_spread", "noise_bias"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_spread < 0:
             raise ValidationError("noise_spread must be >= 0")
         if not 1 <= self.max_count <= MAX_COUNT:
@@ -69,8 +72,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.holdout_ratio < 1.0:
             raise ValidationError("holdout_ratio must lie in (0, 1)")
 
@@ -102,7 +105,8 @@ def generate_dataset(spec: SynthSpec) -> tuple[list[CountRecord], dict[str, floa
     """Seeded dataset: capped, rounded log-normal counts and noisy features."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     raw = rng.lognormal(mean=spec.log_mean, sigma=spec.log_sigma, size=spec.n_samples)
-    counts = np.minimum(np.rint(raw).astype(np.int64), spec.max_count)
+    # capped before the int cast, so an overflowing draw (inf) lands on the cap
+    counts = np.rint(np.minimum(raw, spec.max_count)).astype(np.int64)
     eps = spec.noise_bias + spec.noise_spread * rng.standard_normal(spec.n_samples)
     z = counts * (1.0 + eps)
     records = [CountRecord(f"s{i:05d}", int(c)) for i, c in enumerate(counts)]
@@ -175,6 +179,8 @@ def fit_toy_regressor(
             weight -= lr * g_w / len(batch)
             offset -= lr * g_c / len(batch)
         epoch_losses.append(loss_sum / len(ids))
+        if not (math.isfinite(weight) and math.isfinite(offset) and math.isfinite(epoch_losses[-1])):
+            raise ValidationError(f"training diverged in epoch {epoch} under scheme {scheme!r}: weight, offset or loss is not finite")
     return ToyFit(weight, offset, scale, tuple(epoch_losses))
 
 

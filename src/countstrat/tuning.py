@@ -1,18 +1,22 @@
 """Cross-validated grid search for the bin-count prior parameter gamma.
 
-For every held-out ratio the data is split with a run of seeds; on each
-split, bins are fit on the train side for every gamma at once (one DP pass
-over one histogram), and the held-out side is scored under the
-piecewise-constant density each gamma's bins define. Per ratio, gammas are
-ranked by descending mean held-out log-likelihood; the gamma with the
-lowest rank-index sum across ratios wins.
+For every held-out ratio the data is split with a run of seeds; bins are
+fit on every split's train side for every gamma, and each held-out side is
+scored under the piecewise-constant density each gamma's bins define. Per
+ratio, gammas are ranked by descending mean held-out log-likelihood; the
+gamma with the lowest rank-index sum across ratios wins.
 
-The search works on columns: the records' counts are read into one int64
-array once, each split is a pair of index arrays into it (the seeded
-permutation split_records uses), the train histogram is one bincount, and
-the log tables of every fit are slices of one pair built per search and
-sized by the whole input. split_records and held_out_log_likelihood are
-the record-list forms of the same split and scorer.
+The search works on columns, one ratio at a time: the records' counts are
+read into one int64 array once, each seed's split is a pair of index
+arrays into it (the seeded permutation split_records uses), and only the
+train side's histogram (one bincount plus beta) and the test count column
+are kept. The ratio's train histograms that share their cell edges (with
+beta >= 1, those with the same maximum) are stacked and fit in one DP pass,
+with one row per (histogram, gamma); every split is then scored from its
+blocks in test order. The log tables of every fit are slices of one pair
+built per search and sized by the whole input. split_records and
+held_out_log_likelihood are the record-list forms of the same split and
+scorer.
 """
 
 from __future__ import annotations
@@ -98,23 +102,24 @@ def held_out_log_likelihood(
     """
     if not train or not test:
         raise ValidationError("train and test must both be non-empty")
-    return _held_out(record_counts(train), record_counts(test), spec)
+    freqs = np.bincount(record_counts(train)) + spec.beta
+    tables = log_tables(int(freqs.sum()), len(freqs) - 1)
+    ((_, blocks),) = optimal_blocks_per_gamma([freqs], spec.gammas, spec.likelihood_kind, tables)
+    return _held_out(freqs, record_counts(test), blocks, tables[0])
 
 
-def _held_out(train: np.ndarray, test: np.ndarray, spec: GridSpec, tables=None) -> tuple[float, ...]:
-    """held_out_log_likelihood over int64 count columns; ``tables`` (from
-    log_tables, large enough for the smoothed train histogram) are built
-    here when not given."""
-    hist = smooth(count_histogram(train), spec.beta)
-    tables = tables or log_tables(hist.total, hist.max_count)
-    ln_tab = tables[0]  # ln_tab[k] is math.log(k), bit for bit
-    log_n = ln_tab[hist.total]
-    clamped = np.minimum(test, hist.max_count)
+def _held_out(freqs: np.ndarray, test: np.ndarray, blocks, ln_tab: np.ndarray) -> tuple[float, ...]:
+    """held_out_log_likelihood of an int64 test count column under each
+    gamma's (upper edges, masses) in ``blocks``, fit on the smoothed train
+    frequency row ``freqs`` over [0, C]; ``ln_tab`` is a log table from
+    log_tables, large enough for that row."""
+    log_n = ln_tab[freqs.sum()]  # ln_tab[k] is math.log(k), bit for bit
+    clamped = np.minimum(test, len(freqs) - 1)
     values = []
-    for his, masses in optimal_blocks_per_gamma(hist, spec.gammas, spec.likelihood_kind, tables):
+    for his, masses in blocks:
         widths = np.diff(his, prepend=-1)
         cell_logp = (ln_tab[masses] - log_n) - ln_tab[widths]
-        # value -> its bin's per-cell log-probability, over [0, max_count]
+        # value -> its bin's per-cell log-probability, over [0, C]
         per_value = np.repeat(cell_logp, widths)
         # cumsum adds sequentially, unlike the pairwise np.sum
         values.append(float(np.cumsum(per_value[clamped])[-1]))
@@ -148,9 +153,13 @@ def _search(records: list[CountRecord], spec: GridSpec):
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
     loglik = {}
     for ri, ratio in enumerate(spec.ratios):
+        trains, tests = [], []
         for seed in range(spec.n_seeds):
             train, test = _index_split(len(counts), ratio, seed)
-            loglik[ri, seed] = _held_out(counts[train], counts[test], spec, tables)
+            trains.append(np.bincount(counts[train]) + spec.beta)
+            tests.append(counts[test])
+        for seed, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
+            loglik[ri, seed] = _held_out(trains[seed], tests[seed], blocks, tables[0])
     means: dict[tuple[int, int], float] = {}
     table = []
     for gi, gamma in enumerate(spec.gammas):

@@ -158,6 +158,20 @@ class TestEvalCommand:
         assert doc["per_bin"][0]["std"] == 1.0
         assert doc["global_mae"] == 2.0
 
+    def test_huge_prediction_fails(self, tmp_path, capsys):
+        # the errors' squares would overflow the std
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,count_true,count_pred\na,1,1\nb,2,1e300\n")
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({
+            "gamma": 0.5, "alpha": 1, "beta": 0, "likelihood": "multinomial",
+            "map_score": 0.0, "bins": [{"lo": 0, "hi": 9}],
+        }))
+        rc = main(["eval", str(preds), str(part)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 3: prediction") and captured.err.count("\n") == 1
+
     def test_perfect_predictions_all_zero(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"
         preds.write_text("id,count_true,count_pred\na,4,4\nb,7,7\n")
@@ -250,6 +264,34 @@ class TestSynthCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "1000000" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--learning-rate", "nan"),
+            ("--learning-rate", "inf"),
+            ("--learning-rate", "1e300"),
+            ("--noise-bias", "nan"),
+            ("--noise-spread", "nan"),
+            ("--noise-spread", "inf"),
+            ("--log-mean", "nan"),
+            ("--log-mean", "inf"),
+            ("--log-sigma", "nan"),
+            ("--log-sigma", "inf"),
+        ],
+    )
+    def test_non_finite_or_diverging_float_fails(self, flag, value, capsys):
+        rc = main(["synth", "--seeds", "1", "--n-samples", "60", "--epochs", "2", flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_overflowing_log_mean_caps_counts(self, tmp_path):
+        # exp(800) overflows to inf; every count lands on --max-count
+        out = tmp_path / "s.json"
+        rc = main(["synth", "--seeds", "1", "--n-samples", "60", "--epochs", "2", "--log-mean", "800", "-o", str(out)])
+        assert rc == 0
+        assert json.loads(read(out))["seeds"] == [0]
 
     def test_negative_seed_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -58,6 +58,14 @@ class TestParsePredictions:
         with pytest.raises(ValidationError):
             parse_predictions("id,count_true,count_pred\na,-1,1.0")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1e101", "1e300"])
+    def test_prediction_beyond_limit(self, raw):
+        # squared errors of a larger prediction overflow the std
+        with pytest.raises(ParseError, match=f"line 3: prediction '{raw}' is not finite or exceeds 1e\\+100"):
+            parse_predictions(f"id,count_true,count_pred\na,1,-1e100\nb,2,{raw}")
+        with pytest.raises(ValidationError, match="exceeds 1e\\+100"):
+            PredictionRecord("b", 2, float(raw))
+
     def test_empty_ok(self):
         assert parse_predictions("id,count_true,count_pred\n") == []
 

@@ -287,14 +287,14 @@ class TestOptimalPartition:
             with pytest.raises(ValidationError, match="positive total mass"):
                 fit(h, PriorConfig(0.5), MULTI)
         with pytest.raises(ValidationError, match="positive total mass"):
-            optimal_blocks_per_gamma(h, (0.5,), MULTI)
+            optimal_blocks_per_gamma([h.freqs], (0.5,), MULTI)
 
     def test_mass_limit(self):
         h = CountHistogram(1, (MAX_MASS, 1))
         with pytest.raises(ValidationError, match="exceeds the limit"):
             optimal_partition(h, PriorConfig(0.5), MULTI)
         with pytest.raises(ValidationError, match="exceeds the limit"):
-            optimal_blocks_per_gamma(h, (0.5,), MULTI)
+            optimal_blocks_per_gamma([h.freqs], (0.5,), MULTI)
 
     @pytest.mark.parametrize(
         "freqs, top",
@@ -307,8 +307,8 @@ class TestOptimalPartition:
         # a search slices one pair of tables sized by its whole input; every
         # fit must see the arrays it would have built on its own
         h = CountHistogram(len(freqs) - 1, freqs)
-        own = _CellData(h)
-        shared = _CellData(h, log_tables(h.total + 500, h.max_count + 300))
+        own = _CellData(h.freqs)
+        shared = _CellData(h.freqs, log_tables(h.total + 500, h.max_count + 300))
         assert len(own.ln_tab) == top + 1 and len(own.ln_fact) == h.total + 1
         assert own.ln_tab[1:].tolist() == [math.log(k) for k in range(1, top + 1)]
         assert own.ln_fact.tolist() == [math.lgamma(k + 1) for k in range(h.total + 1)]
@@ -316,7 +316,7 @@ class TestOptimalPartition:
             a, b = getattr(own, name), getattr(shared, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         with pytest.raises(ValidationError, match="too short"):
-            _CellData(h, log_tables(h.total - 1, h.max_count))
+            _CellData(h.freqs, log_tables(h.total - 1, h.max_count))
 
     def test_large_dense_histogram_runs(self):
         rng = np.random.default_rng(9)
@@ -373,7 +373,7 @@ def test_multi_gamma_dp_equals_single_and_oracle(freqs, others, at, kind):
     # 0.5 makes merging two equal cells an exact tie
     gammas = tuple(others[:at]) + (0.5,) + tuple(others[at:])
     h = CountHistogram(len(freqs) - 1, tuple(freqs))
-    got = list(optimal_blocks_per_gamma(h, gammas, kind))
+    ((_, got),) = optimal_blocks_per_gamma([h.freqs], gammas, kind)
     assert len(got) == len(gammas)
     for gamma, (his, masses) in zip(gammas, got):
         assert his.dtype == masses.dtype == np.int64
@@ -381,6 +381,55 @@ def test_multi_gamma_dp_equals_single_and_oracle(freqs, others, at, kind):
         assert his.tolist() == [b.hi for b in bins]
         assert masses.tolist() == [sum(h.freqs[b.lo : b.hi + 1]) for b in bins]
         assert bins == brute_force_partition(h, PriorConfig(gamma), kind).bins
+
+
+@st.composite
+def shared_edge_rows(draw):
+    """1-4 frequency rows of one length whose cells share their edges: all
+    positive (beta 1), or zero at the same counts (beta 0) except that each
+    row's first nonzero count may move within the first cell."""
+    n_rows = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 80))
+    freq = st.integers(1, 30)
+    if draw(st.booleans()):
+        return [draw(st.lists(freq, min_size=length, max_size=length)) for _ in range(n_rows)]
+    support = sorted(draw(st.sets(st.integers(0, length - 1), min_size=1)))
+    first_cell_end = support[1] if len(support) > 1 else length
+    rows = []
+    for _ in range(n_rows):
+        row = [0] * length
+        for c in [draw(st.integers(0, first_cell_end - 1)), *support[1:]]:
+            row[c] = draw(freq)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150)
+@given(
+    rows=shared_edge_rows(),
+    others=st.lists(st.floats(0.01, 0.99), max_size=3),
+    at=st.integers(0, 3),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_stacked_pass_equals_separate_fits(rows, others, at, kind):
+    # 0.5 makes merging two equal cells an exact tie; up to 64 cells (and
+    # mass 2,400) ties are re-ranked exactly, per histogram
+    gammas = tuple(others[:at]) + (0.5,) + tuple(others[at:])
+    got = dict(optimal_blocks_per_gamma([np.array(row) for row in rows], gammas, kind))
+    assert sorted(got) == list(range(len(rows)))
+    for g, row in enumerate(rows):
+        h = CountHistogram(len(row) - 1, tuple(row))
+        for gamma, (his, masses) in zip(gammas, got[g], strict=True):
+            bins = optimal_partition(h, PriorConfig(gamma), kind).bins
+            assert his.tolist() == [b.hi for b in bins]
+            assert masses.tolist() == [sum(row[b.lo : b.hi + 1]) for b in bins]
+            if len(h.support) <= 12:
+                assert bins == brute_force_partition(h, PriorConfig(gamma), kind).bins
+
+
+def test_stack_must_share_edges():
+    with pytest.raises(ValidationError, match="share their cell edges"):
+        _CellData(np.array([[1, 0, 2], [1, 2, 0]]))
 
 
 @settings(max_examples=200)

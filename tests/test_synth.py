@@ -51,6 +51,20 @@ class TestGenerateDataset:
         with pytest.raises(ValidationError):
             SynthSpec(max_count=0)
 
+    @pytest.mark.parametrize("field", ["log_mean", "log_sigma", "noise_spread", "noise_bias"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_spec_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SynthSpec(**{field: value})
+
+    @pytest.mark.parametrize("log_mean, log_sigma", [(800.0, 1.4), (3.0, 1e300)])
+    def test_overflowing_draws_land_on_the_cap(self, log_mean, log_sigma):
+        # lognormal draws of inf are capped before the int cast
+        records, features = generate_dataset(SynthSpec(n_samples=50, log_mean=log_mean, log_sigma=log_sigma, max_count=300))
+        counts = [r.count for r in records]
+        assert set(counts) <= {0, 300} and 300 in counts
+        assert all(np.isfinite(list(features.values())))
+
     def test_counts_capped_and_non_negative(self):
         spec = SynthSpec(n_samples=500, max_count=100, log_mean=4.0, log_sigma=1.5)
         records, _ = generate_dataset(spec)
@@ -154,6 +168,15 @@ class TestToyRegressor:
         assert np.mean(errs) < 0.5
 
 
+    def test_divergence_rejected(self):
+        records, features = generate_dataset(SMALL_SPEC)
+        part = small_partition(records)
+        trainer = replace(SMALL_TRAINER, learning_rate=1e308)
+        for scheme in synth_mod.SCHEMES:
+            with pytest.raises(ValidationError, match="training diverged in epoch 0"):
+                fit_toy_regressor(records, features, part, trainer, scheme, seed=0)
+
+
 class TestRunComparison:
     def test_report_structure_and_determinism(self):
         seeds = (0, 1)
@@ -185,5 +208,8 @@ class TestTrainerConfig:
             TrainerConfig(batch_size=0)
         with pytest.raises(ValidationError):
             TrainerConfig(learning_rate=0.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="learning_rate must be finite"):
+                TrainerConfig(learning_rate=rate)
         with pytest.raises(ValidationError):
             TrainerConfig(holdout_ratio=1.0)

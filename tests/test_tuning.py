@@ -21,7 +21,7 @@ from countstrat import (
     smooth,
     split_records,
 )
-from countstrat import jsonfmt
+from countstrat import jsonfmt, stratify
 from countstrat.stratify import MAX_MASS, PriorConfig, partition_to_json_dict
 from countstrat.tuning import DEFAULT_GAMMAS, descending_rank_indices, tuning_report_json_dict
 
@@ -289,11 +289,32 @@ def reference_selection(records, spec):
 # trains on 300 and one other count, a beta = 0 mass of 2 below C + 1 = 301
 @example(counts=[0, 300], gammas=[0.5], ratios=[0.25], n_seeds=1, beta=0, kind=LikelihoodKind.MULTINOMIAL)
 @example(counts=[300, 0, 7], gammas=[0.1, 0.9], ratios=[0.25], n_seeds=2, beta=0, kind=LikelihoodKind.POISSON)
+# the unique maximum 300 is held out by seed 0 only, so the ratio's train
+# sides fall into two edge groups, one of two histograms
+@example(counts=[*range(20), 300], gammas=[0.1, 0.5, 0.9], ratios=[0.25], n_seeds=3, beta=1, kind=LikelihoodKind.MULTINOMIAL)
+# unsmoothed train sides of three different supports: one pass each
+@example(counts=[0, 0, 3, 3, 7, 9, 9, 12, 20, 20, 21], gammas=[0.2, 0.5], ratios=[0.25], n_seeds=3, beta=0, kind=LikelihoodKind.POISSON)
 def test_select_gamma_equals_reference(counts, gammas, ratios, n_seeds, beta, kind):
     recs = make_records(counts)
     spec = GridSpec(tuple(gammas), tuple(ratios), n_seeds, beta, kind)
     sel = select_gamma(recs, spec)
     assert (sel.gamma_best, sel.table) == reference_selection(recs, spec)
+
+
+def test_one_dp_pass_per_ratio(monkeypatch):
+    # 13 copies of the maximum 40 and at most 5 held out: every train side
+    # ends at 40, so with beta = 1 a ratio's train histograms share edges
+    passes = []
+    real_dp = stratify._dp
+
+    def counting_dp(cells, *args):
+        passes.append(cells.n_hists)
+        return real_dp(cells, *args)
+
+    monkeypatch.setattr(stratify, "_dp", counting_dp)
+    spec = GridSpec(beta=1)
+    select_gamma(make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13), spec)
+    assert passes == [spec.n_seeds] * len(spec.ratios)
 
 
 class TestOptimalBins:
