@@ -83,6 +83,15 @@ def _non_negative_int(raw: str) -> int:
     return value
 
 
+class _GridFlag(argparse.Action):
+    """Store a grid flag's value and note the flag in ``args.grid_flags``, so
+    ``bin --no-tune`` can reject it even when it repeats the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.grid_flags = (*namespace.grid_flags, option_string)
+
+
 def _grid_spec(args) -> GridSpec:
     return GridSpec(
         gammas=args.gammas,
@@ -95,14 +104,15 @@ def _grid_spec(args) -> GridSpec:
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--gammas", type=_float_list, default=DEFAULT_GAMMAS,
+        "--gammas", type=_float_list, default=DEFAULT_GAMMAS, action=_GridFlag,
         help="comma-separated gamma grid (default 0.1..0.9)",
     )
     p.add_argument(
-        "--ratios", type=_float_list, default=DEFAULT_RATIOS,
+        "--ratios", type=_float_list, default=DEFAULT_RATIOS, action=_GridFlag,
         help="comma-separated held-out ratios (default 0.1,0.2,0.25)",
     )
-    p.add_argument("--cv-seeds", type=int, default=DEFAULT_N_SEEDS, help="cross-validation repeats")
+    p.add_argument("--cv-seeds", type=int, default=DEFAULT_N_SEEDS, action=_GridFlag, help="cross-validation repeats")
+    p.set_defaults(grid_flags=())
     p.add_argument("--beta", type=int, default=1, help="additive smoothing (default 1)")
     p.add_argument(
         "--likelihood",
@@ -116,6 +126,8 @@ def _cmd_bin(args) -> int:
     if args.no_tune:
         if args.gamma is None:
             raise _Usage("--no-tune requires --gamma")
+        if args.grid_flags:
+            raise _Usage(f"{args.grid_flags[0]} is only honored without --no-tune")
         cfg = BinningConfig(
             gamma=args.gamma,
             alpha=args.alpha,

@@ -20,6 +20,11 @@ CSV_HEADER = ("id", "count")
 MAX_COUNT = 1_000_000  # histograms are dense over [0, C]: reject a huge count, never allocate it
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer (not a float, not a bool)."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """One annotated sample: an opaque id and its ground-truth count."""
@@ -28,13 +33,13 @@ class CountRecord:
     count: int
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValidationError(f"count must be >= 0, got {self.count} for id {self.id!r}")
+        if not is_integer(self.count) or self.count < 0:
+            raise ValidationError(f"count must be a non-negative integer, got {self.count} for id {self.id!r}")
 
 
 @dataclass(frozen=True)
 class CountHistogram:
-    """Frequencies of integer counts over [0, max_count].
+    """Integer frequencies of integer counts over [0, max_count].
 
     ``freqs[c]`` is the number of samples with count ``c`` plus any additive
     smoothing already applied (recorded in ``smoothing_beta``).
@@ -51,8 +56,8 @@ class CountHistogram:
             raise ValidationError(
                 f"freqs must have length max_count+1 = {self.max_count + 1}, got {len(self.freqs)}"
             )
-        if any(f < 0 for f in self.freqs):
-            raise ValidationError("frequencies must be non-negative")
+        if not all(is_integer(f) and f >= 0 for f in self.freqs):
+            raise ValidationError("frequencies must be non-negative integers")
         if self.smoothing_beta < 0:
             raise ValidationError("smoothing_beta must be >= 0")
         if self.smoothing_beta > 0 and any(f < self.smoothing_beta for f in self.freqs):

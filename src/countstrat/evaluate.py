@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import MAX_COUNT, csv_rows
+from .counts import MAX_COUNT, csv_rows, is_integer
 from .errors import ParseError, ValidationError
 from .jsonfmt import format_float
 from .stratify import Bin, Partition, locate_bins
@@ -31,8 +31,8 @@ class PredictionRecord:
     y_hat: float
 
     def __post_init__(self):
-        if self.y < 0:
-            raise ValidationError(f"ground-truth count must be >= 0, got {self.y}")
+        if not is_integer(self.y) or self.y < 0:
+            raise ValidationError(f"ground-truth count must be a non-negative integer, got {self.y} for id {self.id!r}")
         if not abs(self.y_hat) <= MAX_PREDICTION:
             raise ValidationError(f"prediction {self.y_hat} for id {self.id!r} is not finite or exceeds {MAX_PREDICTION:g} in magnitude")
 

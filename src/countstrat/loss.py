@@ -79,7 +79,7 @@ def routed_bin_loss_subgradient(y: float, y_hat: float, bins: tuple[Bin, ...], l
 
 
 def routed_bin_losses(
-    ys: list[int], y_hats: list[float], bins: tuple[Bin, ...], lambda1: float = 1.0
+    ys: list[float], y_hats: list[float], bins: tuple[Bin, ...], lambda1: float = 1.0
 ) -> list[tuple[float, Bin]]:
     """routed_bin_loss of every (y, y_hat) pair, the bins located at once."""
     idx, _ = locate_bins(bins, ys)

@@ -22,7 +22,8 @@ scores agree to within a few ulps. On top of that, candidates within a
 tiny relative window of the float optimum are re-ranked in exact rational
 arithmetic, because mathematically tied partitions (symmetric frequency
 patterns, or gamma values whose log cancels a likelihood difference) are
-generally not float ties.
+generally not float ties. Either way ties resolve by one rule, _pick's:
+fewer bins, then the earlier split.
 
 One forward pass (_dp) serves both fits, with one row per gamma (uncapped,
 every gamma at once) or per bin count (capped), for each of a stack of
@@ -34,12 +35,14 @@ any row are pruned.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -163,28 +166,20 @@ class Partition:
 
 
 def locate_bin(bins: tuple[Bin, ...], count: float) -> tuple[int, bool]:
-    """Return (bin index containing count, clamped_above flag).
+    """Return (index of the first bin with hi >= count, clamped_above flag).
 
     Counts above the partition range map to the last bin with the flag set.
     """
     if count < bins[0].lo:
         raise RangeError(f"count {count} below partition range start {bins[0].lo}")
-    if count > bins[-1].hi:
-        return len(bins) - 1, True
-    lo_idx, hi_idx = 0, len(bins) - 1
-    while lo_idx < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        if count > bins[mid].hi:
-            lo_idx = mid + 1
-        else:
-            hi_idx = mid
-    return lo_idx, False
+    idx = bisect.bisect_left(bins, count, key=attrgetter("hi"))
+    return min(idx, len(bins) - 1), idx == len(bins)
 
 
 def locate_bins(bins: tuple[Bin, ...], counts) -> tuple[np.ndarray, np.ndarray]:
-    """locate_bin over a sequence of integer counts: (bin indices, clamped
-    mask), from one searchsorted over the bins' upper edges."""
-    counts = np.asarray(counts, dtype=np.int64)
+    """locate_bin over a sequence of counts: (bin indices, clamped mask),
+    from one searchsorted over the bins' upper edges."""
+    counts = np.asarray(counts)
     if counts.size and counts.min() < bins[0].lo:
         raise RangeError(f"count {counts.min()} below partition range start {bins[0].lo}")
     idx = np.searchsorted(np.array([b.hi for b in bins], dtype=np.int64), counts)
@@ -356,16 +351,14 @@ def _bins(his: np.ndarray) -> tuple[Bin, ...]:
     return tuple(map(Bin, [0, *(hi + 1 for hi in his[:-1])], his))
 
 
-def _pick(scores: np.ndarray, top: float, tiebreak, exact_key=None) -> int:
-    """Index of the winning candidate; ``top`` is ``scores.max()``.
-
-    The one rule for every tie in this module: candidates within the
-    relative window _TIE_REL_WINDOW of ``top`` are ranked by ``exact_key``
-    when given (exact re-ranking), else by whether they hit ``top``
-    exactly, and the remaining ties go to the largest ``tiebreak`` (which
-    maps an array of candidate indices to their keys), then to the lowest
-    index.
+def _pick(scores: np.ndarray, n_bins: np.ndarray, exact_key=None) -> int:
+    """Index of the winning candidate, by the one rule for every tie in this
+    module: candidates within the relative window _TIE_REL_WINDOW of the top
+    score are ranked by ``exact_key`` when given (exact re-ranking), else by
+    whether they hit the top exactly; the remaining ties go to the fewest
+    ``n_bins``, then to the lowest index.
     """
+    top = scores.max()
     near = np.flatnonzero(scores >= top - _TIE_REL_WINDOW * max(1.0, abs(top)))
     if len(near) > 1:
         if exact_key is None:
@@ -373,7 +366,7 @@ def _pick(scores: np.ndarray, top: float, tiebreak, exact_key=None) -> int:
         else:
             keys = np.array([exact_key(k) for k in near.tolist()])
             near = near[keys == max(keys)]
-    return int(near[0] if len(near) == 1 else near[tiebreak(near).argmax()])
+    return int(near[n_bins[near].argmin()])
 
 
 def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
@@ -386,36 +379,34 @@ def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
     return starts[::-1]
 
 
-def _dp(
-    cells: _CellData, gammas: tuple[float, ...], add: np.ndarray, shift: int, kind: LikelihoodKind
-) -> tuple[np.ndarray, np.ndarray]:
+def _dp(cells: _CellData, gammas: tuple[float, ...], shift: int, kind: LikelihoodKind) -> tuple[np.ndarray, np.ndarray]:
     """Forward DP over cells with one row per (histogram g, entry k of
-    ``add``); returns (top, last).
+    ``gammas``); returns (top, last).
 
     Row (g, k + shift) extends row (g, k)'s optimum over cells 0..s-1 by the
-    block s..r plus add[k]; last[g, k + shift, r] is the winning s and
-    top[g, k] the best score over all cells. The first ``shift`` rows hold
-    the empty partition (0, then -inf); with shift 0 each row extends
-    itself. Shift 0 with add ln(gamma) is the uncapped DP per gamma, shift 1
-    with add 0 puts the best b-bin partitions in row b. gammas[k] is row k's
-    prior factor in exact keys.
+    block s..r and its prior term; last[g, k + shift, r] is the winning s
+    and top[g, k] the best score over all cells. The first ``shift`` rows
+    hold the empty partition (0, then -inf). Shift 0 is the uncapped DP per
+    gamma: each row extends itself and a block's prior term is
+    ln(gammas[k]). Shift 1 is the capped DP: row b holds the best b-bin
+    partitions, a block's prior term is 0 and the caller adds the prior.
+    gammas[k] is row k's prior factor in exact keys.
 
-    Ties resolve to fewer bins, then the earlier split, at every prefix,
-    which matches comparing full partitions by (score, n_bins, reversed
-    split sequence): for all rows at once, a candidate must hit the top
-    exactly; rows of a histogram small enough for exact keys re-rank their
-    near ties exactly through _pick instead (see _TIE_REL_WINDOW). Block
+    Every prefix resolves its ties by _pick's rule, which matches comparing
+    full partitions by (score, n_bins, reversed split sequence): float ties
+    are resolved for all rows at once, and rows of a histogram small enough
+    for exact keys re-rank their near ties through _pick itself. Block
     scores are computed once per histogram and cell for all its rows.
     Merging blocks never raises the likelihood, so a start whose candidate
-    at cell r is below the row's best over cells 0..r plus add[k] loses to
-    the start r + 1 at every later cell (PELT with K = 0); it leaves the
-    live set once it is below by more than ``slack`` in every row, which
-    keeps it out of every later tie window of every row. Capped rows never
-    prune: row 0 is -inf past column 0, so row 1 keeps every start. The
-    best score and bin count before each start are kept only for the live
-    starts, aligned with ``live``.
+    at cell r is below the row's best over cells 0..r plus the prior term
+    loses to the start r + 1 at every later cell (PELT with K = 0); it
+    leaves the live set once it is below by more than ``slack`` in every
+    row, which keeps it out of every later tie window of every row. Capped
+    rows never prune: row 0 is -inf past column 0, so row 1 keeps every
+    start. The best score and bin count before each start are kept only for
+    the live starts, aligned with ``live``.
     """
-    m, n_hists, n_rows = cells.n_cells, cells.n_hists, len(add)
+    m, n_hists, n_rows = cells.n_cells, cells.n_hists, len(gammas)
     # bound >= |score| of any partition of any prefix of any histogram, and
     # of every term summed into one: block log(mass!), cell log(f!) sums,
     # mass*log(mass), mass*log(width), the Poisson mass term, and the prior
@@ -428,7 +419,7 @@ def _dp(
     )
     # a float score sums at most m + 16 terms, each off by a few ulps of bound
     slack = (_TIE_REL_WINDOW + 8.0 * (m + 16) * np.finfo(float).eps) * bound
-    add = add[:, None]
+    add = np.array([0.0 if shift else math.log(x) for x in gammas])[:, None]
     cut = add - slack
     # every member of _pick's near set lies at or above this below the top
     near = -2.0 * _TIE_REL_WINDOW * bound
@@ -477,11 +468,10 @@ def _dp(
             # -inf and resolves harmlessly
             close = cand[g] >= (top[g] + near)[:, None]
             for k in np.flatnonzero(close.sum(axis=1) > 1):
-                fewer_bins = lambda j, nb=src_nbins[g, k]: -nb[j]
                 key = lambda j, g=g, k=k, s=starts, r=r: cells.exact_key(
                     _starts_from(last[g], shift, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k], g
                 )
-                picks[g, k] = _pick(cand[g, k], top[g, k], fewer_bins, key)
+                picks[g, k] = _pick(cand[g, k], src_nbins[g, k], key)
         last[:, shift:, r] = starts[picks]
         top_nbins = src_nbins[hists, rows, picks] + 1
         if shift:
@@ -499,7 +489,7 @@ def _uncapped_blocks(cells: _CellData, gammas: tuple[float, ...], kind: Likeliho
     """cells.blocks of the uncapped MAP partition for each gamma, one list
     per histogram in order, from one pass; each list is built as it is
     consumed, so one partition's block starts are alive at a time."""
-    _, last = _dp(cells, gammas, np.array([math.log(x) for x in gammas]), 0, kind)
+    _, last = _dp(cells, gammas, 0, kind)
     m = cells.n_cells
     for g, rows in enumerate(last):
         yield [cells.blocks(_starts_from(rows, 0, k, m - 1), g) for k in range(len(gammas))]
@@ -507,15 +497,15 @@ def _uncapped_blocks(cells: _CellData, gammas: tuple[float, ...], kind: Likeliho
 
 def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
     """Block starts of the MAP partition with at most alpha bins: row b of
-    the pass holds the best b-bin partitions, and the prior picks a row,
-    fewer bins on ties."""
+    the pass holds the best b-bin partitions, and _pick picks a row under
+    the prior."""
     m = cells.n_cells
-    top, last = _dp(cells, (gamma,) * alpha, np.zeros(alpha), 1, kind)
-    finals = top[0] + np.arange(1, alpha + 1) * math.log(gamma)
+    top, last = _dp(cells, (gamma,) * alpha, 1, kind)
+    n_bins = np.arange(1, alpha + 1)
     key = None
     if cells.exact_ties():
         key = lambda b: cells.exact_key(_starts_from(last[0], 1, b + 1, m - 1), m - 1, kind, gamma)
-    b = _pick(finals, float(finals.max()), np.negative, key) + 1
+    b = _pick(top[0] + n_bins * math.log(gamma), n_bins, key) + 1
     return _starts_from(last[0], 1, b, m - 1)
 
 
@@ -612,7 +602,7 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
     key = None
     if cells.exact_ties():
         key = lambda k: cells.exact_key(cands[k], m - 1, kind, cfg.gamma)
-    pick = _pick(ranks, float(ranks.max()), lambda k: -n_bins[k], key)
+    pick = _pick(ranks, n_bins, key)
     return _scored(hist, cells.blocks(cands[pick])[0], rcfg, kind)
 
 

@@ -49,6 +49,17 @@ class TestBinCommand:
         assert exc.value.code == 2
         assert "--no-tune" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--gammas", "0.2,0.3"), ("--ratios", "0.5"), ("--cv-seeds", "99"), ("--cv-seeds", "10")]
+    )
+    def test_grid_flag_with_no_tune_is_usage_error(self, flag, value, capsys):
+        # a fixed-gamma fit runs no grid search, so a grid flag would be
+        # ignored, also when it repeats the default
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_no_tune_alpha_caps_bins(self, capsys):
         rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.9", "--alpha", "2"])
         assert rc == 0

@@ -154,3 +154,20 @@ class TestHistogramType:
     def test_record_rejects_negative(self):
         with pytest.raises(ValidationError):
             CountRecord("a", -1)
+
+    @pytest.mark.parametrize("count", [10.5, 3.0, np.float64(2.0), "3", True])
+    def test_record_rejects_non_integer(self, count):
+        # the histogram and the array locate would truncate a fractional count
+        with pytest.raises(ValidationError, match="integer"):
+            CountRecord("a", count)
+
+    @pytest.mark.parametrize("freqs", [(1.5, 0.5, 3), (1.0, 0, 1), (1, None, 1)])
+    def test_histogram_rejects_non_integer_frequencies(self, freqs):
+        # the DP would read truncated frequencies and map_score the given ones
+        with pytest.raises(ValidationError, match="integers"):
+            CountHistogram(2, freqs)
+
+    def test_numpy_integers_accepted(self):
+        h = build_histogram([CountRecord("a", np.int64(2)), CountRecord("b", 0)])
+        assert h == CountHistogram(2, (1, 0, 1))
+        assert CountHistogram(1, (np.int32(1), 2)).total == 3

@@ -69,6 +69,13 @@ class TestParsePredictions:
     def test_empty_ok(self):
         assert parse_predictions("id,count_true,count_pred\n") == []
 
+    @pytest.mark.parametrize("y", [10.5, 10.0, np.float64(4.0), True])
+    def test_non_integer_truth_rejected(self, y):
+        # evaluate's int64 truth column would truncate 10.5 to 10: an MAE of
+        # 2.0 for 12.0, in the bin [0, 10]
+        with pytest.raises(ValidationError, match="integer"):
+            PredictionRecord("a", y, 12.0)
+
 
 class TestPerBinStats:
     def test_two_point_bin(self):

@@ -1,9 +1,12 @@
 """The array locate (one searchsorted) and its users agree with scalar
 locate_bin reference loops, including clamped counts, empty bins and
-one-bin partitions."""
+one-bin partitions; locate_bin itself agrees with a linear scan."""
+
+import math
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from countstrat import (
@@ -13,6 +16,7 @@ from countstrat import (
     LikelihoodKind,
     Partition,
     PredictionRecord,
+    RangeError,
     assign_bins,
     locate_bin,
     per_bin_stats,
@@ -23,12 +27,20 @@ from countstrat.stratify import locate_bins
 
 
 @st.composite
-def cases(draw):
-    """Up to 9 bins over [0, top]; truths up to top + 20, so some clamp."""
+def bin_tuples(draw):
+    """Up to 9 bins over [0, top], top at most 60."""
     top = draw(st.integers(0, 60))
     edges = sorted(draw(st.sets(st.integers(0, max(top - 1, 0)), max_size=8))) if top else []
-    bins = tuple(Bin(lo, hi) for lo, hi in zip([0] + [e + 1 for e in edges], edges + [top]))
-    ys = draw(st.lists(st.integers(0, top + 20), max_size=80))
+    return tuple(Bin(lo, hi) for lo, hi in zip([0] + [e + 1 for e in edges], edges + [top]))
+
+
+@st.composite
+def cases(draw, fractional=False):
+    """bin_tuples; truths up to top + 20, so some clamp, integers unless
+    fractional."""
+    bins = draw(bin_tuples())
+    top = bins[-1].hi
+    ys = draw(st.lists(st.floats(0, top + 20) if fractional else st.integers(0, top + 20), max_size=80))
     y_hats = draw(st.lists(st.floats(-10, top + 30), min_size=len(ys), max_size=len(ys)))
     return Partition(bins, 0.0, 0.5, LikelihoodKind.MULTINOMIAL), ys, y_hats
 
@@ -63,3 +75,46 @@ def test_array_locate_matches_scalar(case, lambda1):
     assert routed_bin_losses(ys, y_hats, bins, lambda1) == [
         routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)
     ]
+
+
+def scan(bins, count):
+    """Reference locate: the first bin with count <= hi, else the last bin
+    flagged as clamped; None below the range."""
+    if count < bins[0].lo:
+        return None
+    return next(((k, False) for k, b in enumerate(bins) if count <= b.hi), (len(bins) - 1, True))
+
+
+@example((Bin(0, 10), Bin(11, 20)), 10.5)
+@example((Bin(0, 10), Bin(11, 20)), 20.5)
+@example((Bin(0, 10), Bin(11, 20)), -0.5)
+@given(bin_tuples(), st.one_of(st.integers(-5, 90), st.floats(-5, 90)))
+def test_locate_bin_matches_linear_scan(bins, count):
+    want = scan(bins, count)
+    if want is None:
+        with pytest.raises(RangeError):
+            locate_bin(bins, count)
+    else:
+        assert locate_bin(bins, count) == want
+
+
+@example((Partition((Bin(0, 10), Bin(11, 20)), 0.0, 0.5, LikelihoodKind.MULTINOMIAL), [10.5], [12.0]), 1.0)
+@given(cases(fractional=True), st.floats(0, 5))
+def test_fractional_truths_route_alike(case, lambda1):
+    # fractional truths (e.g. density-map sums) reach the loss routes, which
+    # must not truncate them
+    part, ys, y_hats = case
+    bins = part.bins
+    want = [locate_bin(bins, y) for y in ys]
+    idx, clamped = locate_bins(bins, ys)
+    assert list(zip(idx.tolist(), clamped.tolist())) == want
+    assert routed_bin_losses(ys, y_hats, bins, lambda1) == [
+        routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)
+    ]
+
+
+def test_fractional_truth_routes_above_lower_bin():
+    bins = (Bin(0, 10), Bin(11, 20))
+    want = (math.log1p(1.5), Bin(11, 20))  # 10.5 lies above [0, 10]
+    assert routed_bin_loss(10.5, 12.0, bins) == want
+    assert routed_bin_losses([10.5], [12.0], bins) == [want]

@@ -24,7 +24,7 @@ from countstrat import (
     partition_to_json_dict,
     prior_log_prob,
 )
-from countstrat.stratify import MAX_MASS, _CellData, log_tables, optimal_blocks_per_gamma
+from countstrat.stratify import MAX_MASS, _CellData, _pick, log_tables, optimal_blocks_per_gamma
 
 MULTI = LikelihoodKind.MULTINOMIAL
 POIS = LikelihoodKind.POISSON
@@ -344,6 +344,18 @@ class TestTieRule:
     def test_mirror_tie_goes_to_earlier_split(self, fit):
         h = CountHistogram(2, (3, 7, 3))
         assert fit(h, PriorConfig(0.5, 2), MULTI).bins == (Bin(0, 0), Bin(1, 2))
+
+
+def test_pick_applies_the_tie_rule():
+    # on floats a near tie that misses the top exactly loses; exact ties go
+    # to fewer bins, then to the lower index
+    scores = np.array([2.0, 2.0 - 1e-14, 2.0, 2.0, 1.0])
+    n_bins = np.array([3, 1, 2, 2, 1])
+    assert _pick(scores, n_bins) == 2
+    # an exact key ranks the whole near set, whatever the float order
+    assert _pick(scores, n_bins, lambda k: [0, 1, 0, 0][k]) == 1
+    assert _pick(scores, n_bins, lambda k: 0) == 1
+    assert _pick(np.array([-np.inf, 0.5]), np.array([1, 2])) == 1
 
 
 @settings(max_examples=200)
