@@ -14,16 +14,16 @@ import sys
 from pathlib import Path
 
 from . import jsonfmt
-from .counts import ingest_counts
+from .counts import count_columns
 from .errors import ParseError, StratError
-from .evaluate import evaluate, parse_predictions, render_report, report_json_dict
+from .evaluate import evaluate_columns, prediction_columns, render_report, report_json_dict
 from .jsonfmt import format_float
 from .loss import LossConfig, routed_bin_losses
-from .sampling import SamplingScheme, assign_bins, plan_epoch, plan_to_json_dict
+from .sampling import SamplingScheme, assign_columns, plan_epoch, plan_to_json_dict
 from .stratify import (
     BinningConfig,
     LikelihoodKind,
-    fit_partition,
+    fit_partition_columns,
     partition_from_json_dict,
     partition_to_json_dict,
 )
@@ -39,8 +39,8 @@ from .tuning import (
     DEFAULT_N_SEEDS,
     DEFAULT_RATIOS,
     GridSpec,
-    optimal_bins,
-    select_gamma,
+    optimal_bins_columns,
+    select_gamma_columns,
     tuning_report_json_dict,
 )
 
@@ -122,7 +122,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_bin(args) -> int:
-    records = ingest_counts(_read_text(args.counts_csv))
+    _, counts = count_columns(_read_text(args.counts_csv))
     if args.no_tune:
         if args.gamma is None:
             raise _Usage("--no-tune requires --gamma")
@@ -134,26 +134,26 @@ def _cmd_bin(args) -> int:
             beta=args.beta,
             likelihood_kind=LikelihoodKind(args.likelihood),
         )
-        partition = fit_partition(records, cfg)
+        partition = fit_partition_columns(counts, cfg)
     elif args.gamma is not None or args.alpha is not None:
         raise _Usage("--gamma and --alpha are only honored together with --no-tune")
     else:
-        partition = optimal_bins(records, _grid_spec(args))
+        partition = optimal_bins_columns(counts, _grid_spec(args))
     _write_output(jsonfmt.dumps(partition_to_json_dict(partition, args.beta)), args.output)
     return 0
 
 
 def _cmd_tune(args) -> int:
-    records = ingest_counts(_read_text(args.counts_csv))
-    selection = select_gamma(records, _grid_spec(args))
+    _, counts = count_columns(_read_text(args.counts_csv))
+    selection = select_gamma_columns(counts, _grid_spec(args))
     _write_output(jsonfmt.dumps(tuning_report_json_dict(selection)), args.output)
     return 0
 
 
 def _cmd_plan(args) -> int:
-    records = ingest_counts(_read_text(args.counts_csv))
+    ids, counts = count_columns(_read_text(args.counts_csv))
     partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
-    assignment = assign_bins(records, partition)
+    assignment = assign_columns(ids, counts, partition)
     plan = plan_epoch(assignment, args.batch_size, args.seed, SamplingScheme(args.scheme))
     _write_output(jsonfmt.dumps(plan_to_json_dict(plan)), args.output)
     return 0
@@ -161,22 +161,23 @@ def _cmd_plan(args) -> int:
 
 def _cmd_loss(args) -> int:
     cfg = LossConfig(args.lambda1, args.lambda2)
-    preds = parse_predictions(_read_text(args.preds_csv))
+    ids, ys, y_hats = prediction_columns(_read_text(args.preds_csv))
     partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
     lines = ["id,y,y_hat,bin_lo,bin_hi,bin_loss"]
-    rows = routed_bin_losses([r.y for r in preds], [r.y_hat for r in preds], partition.bins, cfg.lambda1)
-    for rec, (value, b) in zip(preds, rows):
+    ys, y_hats = ys.tolist(), y_hats.tolist()
+    rows = routed_bin_losses(ys, y_hats, partition.bins, cfg.lambda1)
+    for sample_id, y, y_hat, (value, b) in zip(ids, ys, y_hats, rows):
         lines.append(
-            f"{rec.id},{rec.y},{format_float(rec.y_hat)},{b.lo},{b.hi},{format_float(cfg.lambda2 * value)}"
+            f"{sample_id},{y},{format_float(y_hat)},{b.lo},{b.hi},{format_float(cfg.lambda2 * value)}"
         )
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    preds = parse_predictions(_read_text(args.preds_csv))
+    _, ys, y_hats = prediction_columns(_read_text(args.preds_csv))
     partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
-    report = evaluate(preds, partition)
+    report = evaluate_columns(ys, y_hats, partition)
     _write_output(jsonfmt.dumps(report_json_dict(report)), args.output)
     if args.plot_csv:
         _write_output(render_report(report, partition), args.plot_csv)

@@ -3,12 +3,23 @@
 Ingests per-sample ground-truth people counts from CSV and aggregates them
 into frequency histograms over the closed count range [0, C], with optional
 additive smoothing to densify sparse tails.
+
+CSV inputs are read as columns: a list of ids plus one int64 or float64
+array per numeric field (read_columns, shared with the predictions format
+in evaluate). Plain text, with no quote, carriage return or NUL and no line
+over the csv module's field size limit, is split with str methods and its
+fields converted by the same int/float calls the row loop makes. Any other
+text, and any text that fails a check on the way, is read again by the
+format's csv_rows loop, which is the only parser of quoted or CR input and
+the only source of error messages. Record lists (ingest_counts) are built
+from the columns.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +34,15 @@ MAX_COUNT = 1_000_000  # histograms are dense over [0, C]: reject a huge count, 
 def is_integer(value) -> bool:
     """Whether value is an int or a numpy integer (not a float, not a bool)."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ValidationError naming ``name`` unless value is an integer
+    (is_integer) of at least ``least``."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +125,77 @@ def _checked(reader):
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
-def ingest_counts(text: str) -> list[CountRecord]:
-    """Parse CSV content with header ``id,count`` into count records.
+_DTYPES = {int: np.int64, float: np.float64}
+
+
+def read_columns(text: str, header: tuple[str, ...], kinds: tuple[type, ...], valid, read_rows) -> tuple:
+    """(ids, one array per field after the id) of CSV text with ``header``;
+    ``kinds`` gives each of those fields' conversion, int or float.
+
+    Plain text is split with str methods and converted with ``kinds``;
+    ``valid(ids, *arrays)`` then vets the columns. Any text this cannot
+    show the csv module reads alike, and any failure, goes to
+    ``read_rows(text)``: the format's csv_rows loop, which returns the same
+    columns or raises the error naming the line.
+    """
+    columns = _plain_columns(text, header, kinds)
+    if columns is not None and valid(*columns):
+        return columns
+    return read_rows(text)
+
+
+def _plain_columns(text: str, header: tuple[str, ...], kinds: tuple[type, ...]) -> tuple | None:
+    # without a quote, CR or NUL a csv row is its line split at commas, and
+    # csv_rows skips only empty lines; no per-row list or tuple is built
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.lstrip("\ufeff").split("\n")
+    if max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    if tuple(h.strip() for h in lines[0].split(",")) != header:
+        return None
+    body = [line for line in lines[1:] if line]
+    k = len(header)
+    if not body or set(map(str.count, body, itertools.repeat(","))) != {k - 1}:
+        return None
+    fields = ",".join(body).split(",")
+    ids = fields[0::k]
+    if "" in ids:
+        return None
+    try:
+        arrays = [np.fromiter(map(kind, fields[j::k]), _DTYPES[kind], len(body)) for j, kind in enumerate(kinds, 1)]
+    except (ValueError, OverflowError):
+        return None
+    return (ids, *arrays)
+
+
+def counts_in_range(counts: np.ndarray) -> bool:
+    """Whether every count of a non-empty column lies in [0, MAX_COUNT]."""
+    return bool(0 <= counts.min() and counts.max() <= MAX_COUNT)
+
+
+def count_columns(text: str) -> tuple[list[str], np.ndarray]:
+    """Parse CSV content with header ``id,count`` into (ids, int64 counts).
 
     Raises ParseError on malformed rows or counts above MAX_COUNT (naming
     the line number) and ValidationError on duplicate ids or negative counts.
     """
-    records: list[CountRecord] = []
+    return read_columns(text, CSV_HEADER, (int,), _valid_counts, _count_rows)
+
+
+def ingest_counts(text: str) -> list[CountRecord]:
+    """count_columns as a list of count records."""
+    ids, counts = count_columns(text)
+    return list(map(CountRecord, ids, counts.tolist()))
+
+
+def _valid_counts(ids: list[str], counts: np.ndarray) -> bool:
+    return counts_in_range(counts) and len(set(ids)) == len(ids)
+
+
+def _count_rows(text: str) -> tuple[list[str], np.ndarray]:
+    ids: list[str] = []
+    counts: list[int] = []
     seen: set[str] = set()
     for lineno, row in csv_rows(text, CSV_HEADER):
         sample_id, raw = row[0], row[1].strip()
@@ -126,8 +210,9 @@ def ingest_counts(text: str) -> list[CountRecord]:
         if sample_id in seen:
             raise ValidationError(f"line {lineno}: duplicate id {sample_id!r}")
         seen.add(sample_id)
-        records.append(CountRecord(sample_id, count))
-    return records
+        ids.append(sample_id)
+        counts.append(count)
+    return ids, np.array(counts, dtype=np.int64)
 
 
 def record_counts(records: list[CountRecord]) -> np.ndarray:

@@ -5,6 +5,12 @@ truth. Each bin reports its sample count, MAE and the population standard
 deviation of its absolute errors; bins aggregate into pooled mean/std by
 sample-count weighting. The conventional global MAE/std (no binning) is
 reported alongside.
+
+Predictions are read as columns: prediction_columns parses the CSV with
+counts.read_columns into a list of ids, an int64 ground-truth array and a
+float64 prediction array, and evaluate_columns reports on the two arrays.
+The record-list forms (parse_predictions, evaluate, per_bin_stats,
+global_stats) convert to or from the same arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import MAX_COUNT, csv_rows, is_integer
+from .counts import MAX_COUNT, counts_in_range, csv_rows, is_integer, read_columns
 from .errors import ParseError, ValidationError
 from .jsonfmt import format_float
 from .stratify import Bin, Partition, locate_bins
@@ -57,11 +63,25 @@ class EvalReport:
     n_total: int
 
 
+def prediction_columns(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse CSV with header ``id,count_true,count_pred`` into (ids, int64
+    ground truths, float64 predictions); read_columns says how."""
+    return read_columns(text, PRED_CSV_HEADER, (int, float), _valid_predictions, _prediction_rows)
+
+
 def parse_predictions(text: str) -> list[PredictionRecord]:
-    """Parse CSV with header ``id,count_true,count_pred``."""
-    records = []
+    """prediction_columns as a list of prediction records."""
+    ids, ys, y_hats = prediction_columns(text)
+    return list(map(PredictionRecord, ids, ys.tolist(), y_hats.tolist()))
+
+
+def _valid_predictions(ids: list[str], ys: np.ndarray, y_hats: np.ndarray) -> bool:
+    return counts_in_range(ys) and bool((np.abs(y_hats) <= MAX_PREDICTION).all())
+
+
+def _prediction_rows(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    ids, ys, y_hats = [], [], []
     for lineno, row in csv_rows(text, PRED_CSV_HEADER):
-        sample_id = row[0]
         try:
             y = int(row[1].strip())
             y_hat = float(row[2].strip())
@@ -73,19 +93,26 @@ def parse_predictions(text: str) -> list[PredictionRecord]:
             raise ParseError(f"line {lineno}: ground-truth count {y} exceeds the limit {MAX_COUNT}")
         if y < 0:
             raise ValidationError(f"line {lineno}: negative ground-truth count {y}")
-        records.append(PredictionRecord(sample_id, y, y_hat))
-    return records
+        ids.append(row[0])
+        ys.append(y)
+        y_hats.append(y_hat)
+    return ids, np.array(ys, dtype=np.int64), np.array(y_hats, dtype=np.float64)
 
 
-def _truths_and_errors(preds: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
-    ys = np.fromiter((rec.y for rec in preds), np.int64, len(preds))
-    return ys, np.abs(ys - np.fromiter((rec.y_hat for rec in preds), float, len(preds)))
+def _columns(preds: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The records' ground truths (int64) and predictions (float64)."""
+    n = len(preds)
+    return np.fromiter((r.y for r in preds), np.int64, n), np.fromiter((r.y_hat for r in preds), float, n)
 
 
 def per_bin_stats(preds: list[PredictionRecord], partition: Partition) -> list[BinStats]:
     """Group absolute errors by the ground truth's bin (clamping above the
     range into the last bin) and report n/MAE/population std per bin."""
-    ys, errs = _truths_and_errors(preds)
+    ys, y_hats = _columns(preds)
+    return _per_bin(ys, np.abs(ys - y_hats), partition)
+
+
+def _per_bin(ys: np.ndarray, errs: np.ndarray, partition: Partition) -> list[BinStats]:
     idx, _ = locate_bins(partition.bins, ys)
     # a stable sort keeps each bin's errors in input order, so every slice
     # holds the same array, and gives the same mean/std, as a per-bin list
@@ -115,17 +142,29 @@ def pool(stats: list[BinStats]) -> tuple[float, float]:
 
 def global_stats(preds: list[PredictionRecord]) -> tuple[float, float]:
     """(MAE, population std) of all absolute errors, ignoring bins."""
-    if not preds:
+    ys, y_hats = _columns(preds)
+    return _global(np.abs(ys - y_hats))
+
+
+def _global(errs: np.ndarray) -> tuple[float, float]:
+    if not len(errs):
         raise ValidationError("cannot evaluate an empty prediction set")
-    _, errs = _truths_and_errors(preds)
     return float(errs.mean()), float(errs.std())
 
 
 def evaluate(preds: list[PredictionRecord], partition: Partition) -> EvalReport:
-    stats = per_bin_stats(preds, partition)
+    """evaluate_columns of the records' truths and predictions."""
+    return evaluate_columns(*_columns(preds), partition)
+
+
+def evaluate_columns(ys: np.ndarray, y_hats: np.ndarray, partition: Partition) -> EvalReport:
+    """The EvalReport of int64 ground truths ``ys`` against float64
+    predictions ``y_hats`` (prediction_columns' arrays)."""
+    errs = np.abs(ys - y_hats)
+    stats = _per_bin(ys, errs, partition)
     mu_pool, sigma_pool = pool(stats)
-    g_mae, g_std = global_stats(preds)
-    return EvalReport(tuple(stats), mu_pool, sigma_pool, g_mae, g_std, len(preds))
+    g_mae, g_std = _global(errs)
+    return EvalReport(tuple(stats), mu_pool, sigma_pool, g_mae, g_std, len(ys))
 
 
 def report_json_dict(report: EvalReport) -> dict:

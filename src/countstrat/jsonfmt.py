@@ -2,7 +2,9 @@
 
 Golden-file tests compare outputs byte for byte, so floats are printed with
 '%.17g' (always round-trips to the same double) and dict keys are emitted
-in insertion order.
+in insertion order. A list or tuple whose items are all of type str (a plan
+batch of ids) is emitted with one join instead of one recursive call per
+item; it gives the bytes the item loop would.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ def _emit(obj, indent: int, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
+            return
+        if set(map(type, obj)) == {str}:  # e.g. a plan batch: one join, the bytes of the loop below
+            out.append("[\n" + inner + (",\n" + inner).join(map(json.dumps, obj)) + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, item in enumerate(obj):

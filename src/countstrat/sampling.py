@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountRecord
+from .counts import CountRecord, record_counts
 from .errors import ValidationError
 from .stratify import Partition, locate_bins
 
@@ -47,17 +47,23 @@ class BatchPlan:
 
 
 def assign_bins(records: list[CountRecord], partition: Partition) -> BinAssignment:
-    """Route each record into the bin containing its count.
+    """assign_columns of the records' ids and counts."""
+    return assign_columns([rec.id for rec in records], record_counts(records), partition)
+
+
+def assign_columns(ids: list[str], counts: np.ndarray, partition: Partition) -> BinAssignment:
+    """Route each id into the bin containing its count (counts[i] is the
+    count of ids[i]).
 
     Counts above the partition range land in the last bin and are reported
     through clamped_ids.
     """
-    idx, clamped = locate_bins(partition.bins, [rec.count for rec in records])
+    idx, clamped = locate_bins(partition.bins, counts)
     order = np.argsort(idx, kind="stable")  # keeps input order within a bin
-    ids = [records[i].id for i in order.tolist()]
+    grouped = [ids[i] for i in order.tolist()]
     ends = np.cumsum(np.bincount(idx, minlength=len(partition.bins))).tolist()
-    by_bin = tuple(tuple(ids[a:b]) for a, b in zip([0, *ends], ends))
-    return BinAssignment(by_bin, tuple(records[i].id for i in np.flatnonzero(clamped).tolist()))
+    by_bin = tuple(tuple(grouped[a:b]) for a, b in zip([0, *ends], ends))
+    return BinAssignment(by_bin, tuple(ids[i] for i in np.flatnonzero(clamped).tolist()))
 
 
 def _validated(assignment: BinAssignment, batch_size: int) -> None:

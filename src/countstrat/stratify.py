@@ -46,7 +46,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .counts import MAX_COUNT, CountHistogram, build_histogram, smooth
+from .counts import MAX_COUNT, CountHistogram, check_integer, count_histogram, record_counts, smooth
 from .errors import RangeError, ValidationError
 
 BRUTE_FORCE_MAX_CELLS = 20
@@ -106,8 +106,8 @@ class PriorConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.alpha is not None and self.alpha < 1:
-            raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
+        if self.alpha is not None:
+            check_integer("alpha", self.alpha, 1)
 
     def resolved(self, n_cells: int) -> "PriorConfig":
         if self.alpha is not None:
@@ -126,8 +126,7 @@ class BinningConfig:
 
     def __post_init__(self):
         PriorConfig(self.gamma, self.alpha)
-        if self.beta < 0:
-            raise ValidationError("beta must be >= 0")
+        check_integer("beta", self.beta, 0)
 
     @property
     def prior(self) -> PriorConfig:
@@ -168,8 +167,11 @@ class Partition:
 def locate_bin(bins: tuple[Bin, ...], count: float) -> tuple[int, bool]:
     """Return (index of the first bin with hi >= count, clamped_above flag).
 
-    Counts above the partition range map to the last bin with the flag set.
+    Counts above the partition range map to the last bin with the flag set;
+    a NaN count raises RangeError.
     """
+    if count != count:
+        raise RangeError("count nan is not a number")
     if count < bins[0].lo:
         raise RangeError(f"count {count} below partition range start {bins[0].lo}")
     idx = bisect.bisect_left(bins, count, key=attrgetter("hi"))
@@ -180,6 +182,8 @@ def locate_bins(bins: tuple[Bin, ...], counts) -> tuple[np.ndarray, np.ndarray]:
     """locate_bin over a sequence of counts: (bin indices, clamped mask),
     from one searchsorted over the bins' upper edges."""
     counts = np.asarray(counts)
+    if counts.dtype.kind == "f" and np.isnan(counts).any():  # integer columns hold no NaN
+        raise RangeError("count nan is not a number")
     if counts.size and counts.min() < bins[0].lo:
         raise RangeError(f"count {counts.min()} below partition range start {bins[0].lo}")
     idx = np.searchsorted(np.array([b.hi for b in bins], dtype=np.int64), counts)
@@ -607,9 +611,14 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
 
 
 def fit_partition(records, cfg: BinningConfig) -> Partition:
-    """Smooth the records' histogram and fit the MAP partition directly
-    (no gamma grid search)."""
-    hist = smooth(build_histogram(records), cfg.beta)
+    """fit_partition_columns of the records' counts."""
+    return fit_partition_columns(record_counts(records), cfg)
+
+
+def fit_partition_columns(counts: np.ndarray, cfg: BinningConfig) -> Partition:
+    """Smooth the histogram of an int64 count column and fit the MAP
+    partition directly (no gamma grid search)."""
+    hist = smooth(count_histogram(counts), cfg.beta)
     return optimal_partition(hist, cfg.prior, cfg.likelihood_kind)
 
 

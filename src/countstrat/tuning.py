@@ -6,14 +6,16 @@ scored under the piecewise-constant density each gamma's bins define. Per
 ratio, gammas are ranked by descending mean held-out log-likelihood; the
 gamma with the lowest rank-index sum across ratios wins.
 
-The search works on columns, one ratio at a time: the records' counts are
-read into one int64 array once, each seed's split is a pair of index
-arrays into it (the seeded permutation split_records uses), and only the
-train side's histogram (one bincount plus beta) and the test count column
-are kept. The ratio's train histograms that share their cell edges (with
-beta >= 1, those with the same maximum) are stacked and fit in one DP pass,
-with one row per (histogram, gamma); every split is then scored from its
-blocks in test order. The log tables of every fit are slices of one pair
+The search works on columns, one ratio at a time: it takes the counts as
+one int64 array (select_gamma_columns and optimal_bins_columns; the record
+forms select_gamma and optimal_bins read the records into one), each
+seed's split is a pair of index arrays into it (the seeded permutation
+split_records uses), and only the train side's histogram (one bincount
+plus beta) and the test count column are kept. The ratio's train
+histograms that share their cell edges (with beta >= 1, those with the
+same maximum) are stacked and fit in one DP pass, with one row per
+(histogram, gamma); every split is then scored from its blocks in test
+order. The log tables of every fit are slices of one pair
 built per search and sized by the whole input. split_records and
 held_out_log_likelihood are the record-list forms of the same split and
 scorer.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountRecord, count_histogram, record_counts, smooth
+from .counts import CountRecord, check_integer, count_histogram, record_counts, smooth
 from .errors import ValidationError
 from .jsonfmt import format_float
 from .stratify import LikelihoodKind, Partition, PriorConfig, log_tables, optimal_blocks_per_gamma, optimal_partition
@@ -53,10 +55,8 @@ class GridSpec:
             # a repeat would be scored twice and share one key in the report
             if len(set(values)) < len(values):
                 raise ValidationError(f"{name} must not repeat a value, got {', '.join(map(str, values))}")
-        if self.n_seeds < 1:
-            raise ValidationError("n_seeds must be >= 1")
-        if self.beta < 0:
-            raise ValidationError("beta must be >= 0")
+        check_integer("n_seeds", self.n_seeds, 1)
+        check_integer("beta", self.beta, 0)
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,16 @@ def descending_rank_indices(means: list[float], gammas: tuple[float, ...]) -> li
     return pos
 
 
-def _search(records: list[CountRecord], spec: GridSpec):
-    """The grid search of select_gamma; returns (selection, the records'
-    count column, the log tables every fit of the search sliced).
+def _search(counts: np.ndarray, spec: GridSpec):
+    """The grid search of select_gamma_columns over an int64 count column;
+    returns (selection, the log tables every fit of the search sliced).
 
     The tables are sized like the smoothed histogram of all the records,
     which no train side exceeds, so the final fit on all of them reuses
     them too. They belong to this call and are freed with its result.
     """
-    if not records:
+    if not len(counts):
         raise ValidationError("records must be non-empty")
-    counts = record_counts(records)
     c_max = int(counts.max())
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
     loglik = {}
@@ -181,23 +180,34 @@ def _search(records: list[CountRecord], spec: GridSpec):
         table=tuple(table),
         index_sums=tuple(zip(spec.gammas, sums)),
     )
-    return selection, counts, tables
+    return selection, tables
 
 
 def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
-    """Full grid evaluation; deterministic for fixed records and spec.
+    """select_gamma_columns of the records' counts."""
+    return select_gamma_columns(record_counts(records), spec)
+
+
+def select_gamma_columns(counts: np.ndarray, spec: GridSpec) -> GammaSelection:
+    """Full grid evaluation over an int64 count column; deterministic for
+    fixed counts and spec.
 
     Each (ratio, seed) split is drawn and scored once for every gamma; the
     means are then reduced in canonical (gamma, ratio, seed) order, so
     results do not depend on the evaluation schedule.
     """
-    return _search(records, spec)[0]
+    return _search(counts, spec)[0]
 
 
 def optimal_bins(records: list[CountRecord], spec: GridSpec) -> Partition:
-    """Grid-search gamma, then fit uncapped bins on all the records; equal
-    to fit_partition at the selected gamma."""
-    selection, counts, tables = _search(records, spec)
+    """optimal_bins_columns of the records' counts."""
+    return optimal_bins_columns(record_counts(records), spec)
+
+
+def optimal_bins_columns(counts: np.ndarray, spec: GridSpec) -> Partition:
+    """Grid-search gamma, then fit uncapped bins on all the counts; equal
+    to fit_partition_columns at the selected gamma."""
+    selection, tables = _search(counts, spec)
     hist = smooth(count_histogram(counts), spec.beta)
     return optimal_partition(hist, PriorConfig(selection.gamma_best), spec.likelihood_kind, tables)
 

@@ -25,3 +25,28 @@ def test_format_float_round_trips(x):
 def test_dumps_loads_round_trip(doc):
     # integral floats print without a fraction and reload as equal ints
     assert jsonfmt.loads(jsonfmt.dumps(doc)) == doc
+
+
+class _Str(str):
+    """A str of another type: lists of it take the item loop, not the
+    list-of-str join."""
+
+
+def _via_item_loop(doc):
+    if isinstance(doc, str):
+        return _Str(doc)
+    if isinstance(doc, (list, tuple)):
+        return [_via_item_loop(item) for item in doc]
+    return doc
+
+
+mixed_lists = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=6) | st.lists(st.text(max_size=6), max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.tuples(inner, inner),
+    max_leaves=20,
+)
+
+
+@given(mixed_lists)
+def test_str_list_join_matches_item_loop(doc):
+    assert jsonfmt.dumps(doc) == jsonfmt.dumps(_via_item_loop(doc))

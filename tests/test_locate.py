@@ -118,3 +118,17 @@ def test_fractional_truth_routes_above_lower_bin():
     want = (math.log1p(1.5), Bin(11, 20))  # 10.5 lies above [0, 10]
     assert routed_bin_loss(10.5, 12.0, bins) == want
     assert routed_bin_losses([10.5], [12.0], bins) == [want]
+
+
+@pytest.mark.parametrize("ys", [[math.nan], [3, math.nan], np.array([1.0, math.nan])])
+def test_nan_truth_rejected_by_every_route(ys):
+    # the scalar and array locates must not route a NaN truth to different bins
+    bins = (Bin(0, 10), Bin(11, 20))
+    with pytest.raises(RangeError, match="count nan is not a number"):
+        locate_bins(bins, ys)
+    with pytest.raises(RangeError, match="count nan is not a number"):
+        routed_bin_losses(ys, [1.0] * len(ys), bins)
+    with pytest.raises(RangeError, match="count nan is not a number"):
+        locate_bin(bins, math.nan)
+    with pytest.raises(RangeError, match="count nan is not a number"):
+        routed_bin_loss(math.nan, 1.0, bins)

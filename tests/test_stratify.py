@@ -531,3 +531,13 @@ class TestBinningConfig:
             BinningConfig(gamma=2.0)
         with pytest.raises(ValidationError):
             BinningConfig(beta=-1)
+
+    @pytest.mark.parametrize("field, value", [("alpha", 2.5), ("alpha", True), ("alpha", 3.0), ("beta", 0.5), ("beta", True)])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            BinningConfig(gamma=0.5, **{field: value})
+
+    def test_prior_alpha_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="alpha must be an integer"):
+            PriorConfig(0.5, 2.5)
+        assert PriorConfig(0.5, np.int64(2)).alpha == 2

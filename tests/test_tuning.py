@@ -355,6 +355,14 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(beta=-1)
 
+    @pytest.mark.parametrize("field, value", [("beta", 0.5), ("beta", True), ("beta", 1.0), ("n_seeds", 2.5), ("n_seeds", True)])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            GridSpec(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        assert GridSpec(n_seeds=np.int64(2), beta=np.int32(0)).n_seeds == 2
+
     @pytest.mark.parametrize("field", ["gammas", "ratios"])
     def test_duplicate_values_rejected(self, field):
         # a repeated gamma would be scored twice and share one report key
