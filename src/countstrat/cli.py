@@ -9,15 +9,15 @@ repeated invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import jsonfmt
 from .counts import count_columns
-from .errors import ParseError, StratError
+from .errors import ParseError, StratError, ValidationError
 from .evaluate import evaluate_columns, prediction_columns, render_report, report_json_dict
-from .jsonfmt import format_float
 from .loss import LossConfig, routed_bin_losses
 from .sampling import SamplingScheme, assign_columns, plan_epoch, plan_to_json_dict
 from .stratify import (
@@ -166,10 +166,12 @@ def _cmd_loss(args) -> int:
     lines = ["id,y,y_hat,bin_lo,bin_hi,bin_loss"]
     ys, y_hats = ys.tolist(), y_hats.tolist()
     rows = routed_bin_losses(ys, y_hats, partition.bins, cfg.lambda1)
-    for sample_id, y, y_hat, (value, b) in zip(ids, ys, y_hats, rows):
-        lines.append(
-            f"{sample_id},{y},{format_float(y_hat)},{b.lo},{b.hi},{format_float(cfg.lambda2 * value)}"
-        )
+    losses = [cfg.lambda2 * value for value, _ in rows]
+    if not all(map(math.isfinite, losses)):
+        raise ValidationError("a bin loss times --lambda2 exceeds the largest float; lower --lambda2 or --lambda1")
+    # '%.17g' is format_float once the value is finite; the reader bounds every prediction
+    for sample_id, y, y_hat, (_, b), loss in zip(ids, ys, y_hats, rows, losses):
+        lines.append("%s,%s,%.17g,%s,%s,%.17g" % (sample_id, y, y_hat, b.lo, b.hi, loss))
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

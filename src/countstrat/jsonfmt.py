@@ -3,8 +3,9 @@
 Golden-file tests compare outputs byte for byte, so floats are printed with
 '%.17g' (always round-trips to the same double) and dict keys are emitted
 in insertion order. A list or tuple whose items are all of type str (a plan
-batch of ids) is emitted with one join instead of one recursive call per
-item; it gives the bytes the item loop would.
+batch of ids) is emitted with one ``json.dumps`` call, its item separator
+carrying the newline and indent, instead of one recursive call per item;
+it gives the bytes the item loop would.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        if set(map(type, obj)) == {str}:  # e.g. a plan batch: one join, the bytes of the loop below
-            out.append("[\n" + inner + (",\n" + inner).join(map(json.dumps, obj)) + "\n" + pad + "]")
+        if set(map(type, obj)) == {str}:  # e.g. a plan batch: one C encoder call, the bytes of the loop below
+            text = json.dumps(obj, separators=(",\n" + inner, ": "))
+            out.append("[\n" + inner + text[1:-1] + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, item in enumerate(obj):

@@ -5,11 +5,20 @@ consumed, so one plan is exactly one epoch. Round-robin (RR) cycles the
 bins in order, drawing one random unused sample per visit; random-bin (RS)
 picks a non-exhausted bin uniformly at each step. Randomness comes from
 NumPy's PCG64 generator seeded explicitly, so plans are reproducible.
+
+An RS plan does not call ``Generator.integers`` per step: it reads the raw
+PCG64 outputs itself and repeats what ``integers(b)`` does with them, so
+its stream depends on two numpy internals. One is PCG64's 32-bit order:
+each 64-bit output gives its low half, then its high half. The other is
+Lemire's bounded method, which ``Generator.integers`` uses for bounds up to
+2**32. The reader's property test against ``integers`` and the pinned plan
+digests in the tests catch a change to either.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +82,45 @@ def _validated(assignment: BinAssignment, batch_size: int) -> None:
         raise ValidationError("assignment holds no samples")
 
 
+_MAX_BOUND = 1 << 32  # the 32-bit Lemire path of Generator.integers
+_REFILL = 1024  # raw outputs per refill at most, so a refill's list stays small
+
+
+def _bounded_draws(seed: int, bound: int, count: int) -> Callable[[int], int]:
+    """Return draw(b) for 1 <= b <= bound: called again and again, it returns
+    what int(rng.integers(b)) returns call after call for
+    rng = Generator(PCG64(seed)).
+
+    count is the number of 32-bit values the caller expects to read; each
+    refill reads the raw outputs still expected, at most _REFILL of them.
+    """
+    if bound > _MAX_BOUND:
+        raise ValidationError(f"uniform draws need a bound of at most 2**32, got {bound}")
+    bitgen = np.random.PCG64(seed)
+    left = count
+    take = iter(()).__next__
+
+    def draw(b: int) -> int:
+        nonlocal left, take
+        if b == 1:
+            return 0  # numpy draws nothing for a one-value range
+        while True:
+            try:
+                m = take() * b
+            except StopIteration:
+                n = min(_REFILL, max(1, (left + 1) // 2))
+                left -= 2 * n
+                # little-endian halves of each raw output: low first, as next_uint32
+                take = iter(bitgen.random_raw(n).astype("<u8").view("<u4").tolist()).__next__
+                continue
+            low = m & 0xFFFFFFFF
+            # Lemire: reject low < (2**32 - b) % b, which is below b
+            if low >= b or low >= (_MAX_BOUND - b) % b:
+                return m >> 32
+
+    return draw
+
+
 def _draw(bucket: list[str], j: int) -> str:
     # swap-pop: uniform over remaining when j is, O(1)
     bucket[j], bucket[-1] = bucket[-1], bucket[j]
@@ -107,14 +155,16 @@ def plan_epoch_rr(assignment: BinAssignment, batch_size: int, seed: int) -> Batc
 def plan_epoch_rs(assignment: BinAssignment, batch_size: int, seed: int) -> BatchPlan:
     """Random-bin epoch plan: uniform over non-exhausted bins at every step."""
     _validated(assignment, batch_size)
+    total = assignment.total
+    # no bound exceeds total; a step reads at most two values unless rejected
+    draw = _bounded_draws(seed, total, 2 * total)
     remaining = [list(ids) for ids in assignment.by_bin]
-    rng = np.random.Generator(np.random.PCG64(seed))
     nonempty = [i for i, bucket in enumerate(remaining) if bucket]  # ascending
     draws: list[str] = []
-    for _ in range(assignment.total):
-        at = int(rng.integers(len(nonempty)))
+    for _ in range(total):
+        at = draw(len(nonempty))
         bucket = remaining[nonempty[at]]
-        draws.append(_draw(bucket, int(rng.integers(len(bucket)))))
+        draws.append(_draw(bucket, draw(len(bucket))))
         if not bucket:
             del nonempty[at]  # O(B), once per bin
     return _as_plan(draws, batch_size, seed, SamplingScheme.RS)

@@ -250,6 +250,20 @@ class TestLossCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "row, flag",
+        [("out,45,35.5", "--lambda2"), ("in,41,50", "--lambda1")],  # errors 9.5 and 9, log1p(9) > 2
+    )
+    def test_loss_overflow_fails(self, row, flag, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text(f"id,count_true,count_pred\n{row}\n")
+        out = tmp_path / "loss.csv"
+        rc = main(["loss", str(preds), str(self.make_partition_file(tmp_path)), flag, "1e308", "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--lambda2" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_malformed_predictions_fail(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"
         preds.write_text("id,count_true,count_pred\na,oops,1\n")

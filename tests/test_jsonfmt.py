@@ -1,6 +1,6 @@
 import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from countstrat import jsonfmt
@@ -48,5 +48,10 @@ mixed_lists = st.recursive(
 
 
 @given(mixed_lists)
+@example(['say "hi"', 'a\\b', "\\", '"'])
+@example(["\x00\x01\t\n\r\x1f\x7f", "\u2028\u2029"])
+@example(["café", "Ωμέγα", "日本語"])
+@example(["\U0001F600", "\U00010000\U0010FFFF", "\ud800"])
+@example([["a", "b"], ["\U0001F600\"\\"], ()])
 def test_str_list_join_matches_item_loop(doc):
     assert jsonfmt.dumps(doc) == jsonfmt.dumps(_via_item_loop(doc))

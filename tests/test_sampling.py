@@ -1,9 +1,10 @@
 import collections
 import hashlib
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from countstrat import (
@@ -19,7 +20,7 @@ from countstrat import (
     plan_epoch_rr,
     plan_epoch_rs,
 )
-from countstrat.sampling import plan_to_json_dict
+from countstrat.sampling import _bounded_draws, plan_to_json_dict
 
 
 def make_partition(bounds):
@@ -214,3 +215,65 @@ def test_plans_pinned(plan_fn, seed, digest):
     plan = plan_fn(pinned_assignment(), 32, seed)
     text = "\n".join(",".join(batch) for batch in plan.batches)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# bounds with a special path or rejection rate: 1 draws nothing, 2**31 + 1
+# rejects about half of its values, 3 * 2**30 + 7 about a quarter, 2**32
+# accepts every value
+bounds = st.one_of(
+    st.just(1),
+    st.integers(2, 1000),
+    st.sampled_from([2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32]),
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 8), seq=st.lists(bounds, min_size=1, max_size=80))
+def test_bounded_draws_match_integers(seed, count, seq):
+    # more draws than count + 1 values read, so the first refill runs out
+    assume(sum(b > 1 for b in seq) >= count + 2)
+    draw = _bounded_draws(seed, 2**32, count)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assert [draw(b) for b in seq] == [int(rng.integers(b)) for b in seq]
+
+
+def test_bounded_draws_match_integers_past_full_refills():
+    seq = np.random.Generator(np.random.PCG64(1)).choice([1, 3, 2**31 + 1, 2**32], size=5000).tolist()
+    draw = _bounded_draws(9, 2**32, 2 * len(seq))
+    rng = np.random.Generator(np.random.PCG64(9))
+    assert [draw(b) for b in seq] == [int(rng.integers(b)) for b in seq]
+
+
+def test_bound_above_2_32_rejected():
+    _bounded_draws(0, 2**32, 0)
+    with pytest.raises(ValidationError, match="2\\*\\*32"):
+        _bounded_draws(0, 2**32 + 1, 0)
+    huge = types.SimpleNamespace(by_bin=(), total=2**32 + 1)
+    with pytest.raises(ValidationError, match="2\\*\\*32"):
+        plan_epoch_rs(huge, 32, 0)
+
+
+def plan_epoch_rs_scalar(assignment, batch_size, seed):
+    """plan_epoch_rs with two scalar Generator.integers draws per step."""
+    remaining = [list(ids) for ids in assignment.by_bin]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    nonempty = [i for i, bucket in enumerate(remaining) if bucket]
+    draws = []
+    for _ in range(assignment.total):
+        at = int(rng.integers(len(nonempty)))
+        bucket = remaining[nonempty[at]]
+        j = int(rng.integers(len(bucket)))
+        bucket[j], bucket[-1] = bucket[-1], bucket[j]
+        draws.append(bucket.pop())
+        if not bucket:
+            del nonempty[at]
+    return tuple(tuple(draws[i : i + batch_size]) for i in range(0, len(draws), batch_size))
+
+
+@given(
+    sizes=st.lists(st.integers(0, 40) | st.sampled_from([0, 1]), min_size=1, max_size=30).filter(any),
+    batch_size=st.integers(1, 9),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_rs_plan_matches_scalar_draws(sizes, batch_size, seed):
+    asg = make_assignment(sizes)
+    assert plan_epoch_rs(asg, batch_size, seed).batches == plan_epoch_rs_scalar(asg, batch_size, seed)
