@@ -25,12 +25,17 @@ patterns, or gamma values whose log cancels a likelihood difference) are
 generally not float ties. Either way ties resolve by one rule, _pick's:
 fewer bins, then the earlier split.
 
-One forward pass (_dp) serves both fits, with one row per gamma (uncapped,
-every gamma at once) or per bin count (capped), for each of a stack of
-histograms that share their cell edges (the train sides of a grid search's
-splits; one histogram otherwise). Each cell's block scores are computed
-once per histogram for all its rows, and starts that can no longer win in
-any row are pruned.
+The uncapped fit (_dp) is one forward pass with one row per gamma, every
+gamma at once, for each of a stack of histograms that share their cell
+edges (the train sides of a grid search's splits; one histogram
+otherwise). A row extends its own earlier cells, so the pass steps one
+cell at a time; each cell's block scores are computed once per histogram
+for all its rows, and starts that can no longer win in any row are
+pruned. A capped fit (_capped_starts) has one row per bin count, and row
+b reads only row b - 1, so it scores _CAPPED_BLOCK cells at a time
+against every start and then takes one add and one argmax per row and
+block. It prunes nothing and costs O(alpha * M^2) over M cells, so
+optimal_partition refuses more than MAX_CAPPED_WORK candidates.
 """
 
 from __future__ import annotations
@@ -66,6 +71,15 @@ MAX_MASS = 10_000_000
 _TIE_REL_WINDOW = 1e-12
 _EXACT_TIE_CELL_LIMIT = 64
 _EXACT_TIE_MASS_LIMIT = 10_000
+
+# A capped fit scores every (start, end cell, bin count) candidate:
+# alpha * M(M + 1) / 2 of them over M cells. Refuse more than this before
+# building any table, so time and memory stay bounded (a fit at the limit
+# takes seconds); synth's default fits score about 10^7 each.
+MAX_CAPPED_WORK = 2_000_000_000
+# Cells per block of the capped pass. Its four buffers hold about this
+# many times M entries each.
+_CAPPED_BLOCK = 16
 
 
 class LikelihoodKind(enum.Enum):
@@ -383,18 +397,14 @@ def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
     return starts[::-1]
 
 
-def _dp(cells: _CellData, gammas: tuple[float, ...], shift: int, kind: LikelihoodKind) -> tuple[np.ndarray, np.ndarray]:
-    """Forward DP over cells with one row per (histogram g, entry k of
-    ``gammas``); returns (top, last).
+def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> tuple[np.ndarray, np.ndarray]:
+    """Uncapped forward DP over cells with one row per (histogram g, entry k
+    of ``gammas``); returns (top, last).
 
-    Row (g, k + shift) extends row (g, k)'s optimum over cells 0..s-1 by the
-    block s..r and its prior term; last[g, k + shift, r] is the winning s
-    and top[g, k] the best score over all cells. The first ``shift`` rows
-    hold the empty partition (0, then -inf). Shift 0 is the uncapped DP per
-    gamma: each row extends itself and a block's prior term is
-    ln(gammas[k]). Shift 1 is the capped DP: row b holds the best b-bin
-    partitions, a block's prior term is 0 and the caller adds the prior.
-    gammas[k] is row k's prior factor in exact keys.
+    Row (g, k) extends its own optimum over cells 0..s-1 by the block s..r
+    and the block's prior term ln(gammas[k]); last[g, k, r] is the winning
+    s and top[g, k] the best score over all cells. gammas[k] is row k's
+    prior factor in exact keys.
 
     Every prefix resolves its ties by _pick's rule, which matches comparing
     full partitions by (score, n_bins, reversed split sequence): float ties
@@ -405,10 +415,9 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], shift: int, kind: Likelihoo
     at cell r is below the row's best over cells 0..r plus the prior term
     loses to the start r + 1 at every later cell (PELT with K = 0); it
     leaves the live set once it is below by more than ``slack`` in every
-    row, which keeps it out of every later tie window of every row. Capped
-    rows never prune: row 0 is -inf past column 0, so row 1 keeps every
-    start. The best score and bin count before each start are kept only for
-    the live starts, aligned with ``live``.
+    row, which keeps it out of every later tie window of every row. The
+    best score and bin count before each start are kept only for the live
+    starts, aligned with ``live``.
     """
     m, n_hists, n_rows = cells.n_cells, cells.n_hists, len(gammas)
     # bound >= |score| of any partition of any prefix of any histogram, and
@@ -423,37 +432,35 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], shift: int, kind: Likelihoo
     )
     # a float score sums at most m + 16 terms, each off by a few ulps of bound
     slack = (_TIE_REL_WINDOW + 8.0 * (m + 16) * np.finfo(float).eps) * bound
-    add = np.array([0.0 if shift else math.log(x) for x in gammas])[:, None]
+    add = np.array([math.log(x) for x in gammas])[:, None]
     cut = add - slack
     # every member of _pick's near set lies at or above this below the top
     near = -2.0 * _TIE_REL_WINDOW * bound
     exact = [g for g in range(n_hists) if cells.exact_ties(g)]
     # bin counts and starts are at most m
     small = np.int16 if m < 2**15 else np.int32
-    last = np.zeros((n_hists, shift + n_rows, m), dtype=small)
+    last = np.zeros((n_hists, n_rows, m), dtype=small)
     # the rows' optimum over the empty prefix, then over cells 0..r
-    top = np.full((n_hists, n_rows), -np.inf if shift else 0.0)
+    top = np.zeros((n_hists, n_rows))
     top_nbins = np.zeros((n_hists, n_rows), dtype=small)
     live = np.arange(m)  # the first n entries are the live starts, ascending
     # aligned with live, 64 columns at a time: the left-to-right sum of
     # cell_lg from each live start to r, and row k's best score and bin
-    # count before it (the rows before shift keep their fill, the others
-    # are set on entry)
+    # count before it (set on entry)
     acc = np.zeros((n_hists, 64))
-    best = np.full((n_hists, shift + n_rows, 64), -np.inf)
-    best[:, :shift, 0] = 0.0
+    best = np.zeros((n_hists, n_rows, 64))
     nbins = np.zeros(best.shape, dtype=small)
     hists, rows = np.ogrid[:n_hists, :n_rows]
     n = 0
     for r in range(m):
         if n == acc.shape[1]:
             acc = np.pad(acc, ((0, 0), (0, 64)))
-            best = np.pad(best, ((0, 0), (0, 0), (0, 64)), constant_values=-np.inf)
+            best = np.pad(best, ((0, 0), (0, 0), (0, 64)))
             nbins = np.pad(nbins, ((0, 0), (0, 0), (0, 64)))
-        live[n], acc[:, n], best[:, shift:, n], nbins[:, shift:, n] = r, 0.0, top, top_nbins
+        live[n], acc[:, n], best[:, :, n], nbins[:, :, n] = r, 0.0, top, top_nbins
         n += 1
         starts, lg_sum = live[:n], acc[:, :n]
-        src, src_nbins = best[:, :n_rows, :n], nbins[:, :n_rows, :n]
+        src, src_nbins = best[:, :, :n], nbins[:, :, :n]
         lg_sum += cells.cell_lg[:, r, None]
         # a slice while nothing is pruned: views, not gathers
         scores = cells.block_scores(r, slice(0, n) if n == r + 1 else starts, lg_sum, kind)
@@ -468,18 +475,14 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], shift: int, kind: Likelihoo
         if np.count_nonzero(tied) > n_hists * n_rows:
             picks = np.where(tied, src_nbins, m).argmin(axis=2)
         for g in exact:
-            # a row with no partition yet (fewer cells than bins) is all
-            # -inf and resolves harmlessly
             close = cand[g] >= (top[g] + near)[:, None]
             for k in np.flatnonzero(close.sum(axis=1) > 1):
                 key = lambda j, g=g, k=k, s=starts, r=r: cells.exact_key(
-                    _starts_from(last[g], shift, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k], g
+                    _starts_from(last[g], 0, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k], g
                 )
                 picks[g, k] = _pick(cand[g, k], src_nbins[g, k], key)
-        last[:, shift:, r] = starts[picks]
+        last[:, :, r] = starts[picks]
         top_nbins = src_nbins[hists, rows, picks] + 1
-        if shift:
-            continue
         keep = (cand >= top[..., None] + cut).any(axis=(0, 1))
         n_keep = np.count_nonzero(keep)
         if n_keep < n:
@@ -493,24 +496,95 @@ def _uncapped_blocks(cells: _CellData, gammas: tuple[float, ...], kind: Likeliho
     """cells.blocks of the uncapped MAP partition for each gamma, one list
     per histogram in order, from one pass; each list is built as it is
     consumed, so one partition's block starts are alive at a time."""
-    _, last = _dp(cells, gammas, 0, kind)
+    _, last = _dp(cells, gammas, kind)
     m = cells.n_cells
     for g, rows in enumerate(last):
         yield [cells.blocks(_starts_from(rows, 0, k, m - 1), g) for k in range(len(gammas))]
 
 
 def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
-    """Block starts of the MAP partition with at most alpha bins: row b of
-    the pass holds the best b-bin partitions, and _pick picks a row under
-    the prior."""
-    m = cells.n_cells
-    top, last = _dp(cells, (gamma,) * alpha, 1, kind)
+    """Block starts of histogram 0's MAP partition with at most alpha bins.
+
+    Row b of ``best`` holds the best b-bin scores of the prefixes: best[b, j]
+    over cells 0..j-1 (row 0 is the empty partition), and last[b, r] the
+    start of the last block of the best b-bin partition of cells 0..r. Row
+    b reads only row b - 1, so the pass scores a block of _CAPPED_BLOCK
+    cells r0..r1-1 against every start 0..r1-1 at once (-inf where the start
+    is past the cell), and then each row b is one add of row b - 1 and one
+    argmax per block: row b - 1 of the block is final when row b reads it.
+    The float maximum is stored as the next best, as in _dp. _pick then
+    picks a row under the prior.
+
+    The scores are _dp's bit for bit: each start's left-to-right cell_lg sum
+    is carried across blocks and continued by a cumsum along the cell axis
+    (zeros before a start's first cell, since 0.0 + x == x), and ties follow
+    _pick's rule: every finite candidate of row b has b - 1 bins before its
+    block, so a float tie goes to the lowest start (argmax's first index),
+    and a histogram small enough for exact keys re-ranks every near set of
+    more than one member through _pick.
+    """
+    m, w = cells.n_cells, _CAPPED_BLOCK
+    edges, mass_cum, cell_lg = cells.edges, cells.mass_cum[0], cells.cell_lg[0]
+    exact = cells.exact_ties()
+    best = np.full((alpha + 1, m + 1), -np.inf)
+    best[0, 0] = 0.0
+    last = np.zeros((alpha + 1, m), dtype=np.int16 if m < 2**15 else np.int32)
+    # flat block buffers, each viewed as one contiguous (rows, r1) array per
+    # block: row 0 of lg (lg_buf[:r1]) carries each start's cell_lg sum
+    # before the block and row 1 + i holds its sum to cell r0 + i; iv holds
+    # the block widths, then masses; fv the log widths, then the candidates
+    # of one row; sv the block scores
+    lg_buf = np.zeros((w + 1) * m)
+    int_buf = np.empty(w * m, dtype=np.int64)
+    tmp_buf, score_buf = np.empty(w * m), np.empty(w * m)
+    past = np.triu(np.ones((w, w), dtype=bool), 1)  # the start is past the cell
+    cols = np.arange(w)
+    for r0 in range(0, m, w):
+        r1 = min(r0 + w, m)
+        n = r1 - r0
+        lg = lg_buf[: (n + 1) * r1].reshape(n + 1, r1)
+        iv, fv, sv = (buf[: n * r1].reshape(n, r1) for buf in (int_buf, tmp_buf, score_buf))
+        lg[0, r0:] = 0.0
+        lg[1:] = cell_lg[r0:r1, None]
+        np.copyto(lg[1:, r0:], 0.0, where=past[:n, :n])
+        acc = np.cumsum(lg, axis=0, out=lg)[1:]
+        # widths and masses clamped past the cell (only starts from r0 on
+        # can be), so every gather is finite before the -inf
+        np.subtract(edges[r0 + 1 : r1 + 1, None], edges[:r1], out=iv)
+        np.maximum(iv[:, r0:], 1, out=iv[:, r0:])
+        np.take(cells.ln_tab, iv, out=fv)
+        np.subtract(mass_cum[r0 + 1 : r1 + 1, None], mass_cum[:r1], out=iv)
+        np.maximum(iv[:, r0:], 1, out=iv[:, r0:])
+        if kind is LikelihoodKind.MULTINOMIAL:
+            np.take(cells.ln_fact, iv, out=sv)
+            sv -= acc
+            sv -= np.multiply(iv, fv, out=fv)
+        else:
+            np.take(cells.ln_tab, iv, out=sv)
+            sv -= fv
+            sv *= iv
+            sv -= iv
+            sv -= acc
+        np.copyto(sv[:, r0:], -np.inf, where=past[:n, :n])
+        lg[0] = acc[-1]
+        for b in range(1, min(alpha, r1) + 1):
+            cand = np.add(sv, best[b - 1, :r1], out=fv)
+            picks = cand.argmax(axis=1)
+            top = best[b, r0 + 1 : r1 + 1] = cand[cols[:n], picks]
+            if exact:
+                near = (cand >= (top - _TIE_REL_WINDOW * np.maximum(1.0, np.abs(top)))[:, None]).sum(axis=1)
+                for i in np.flatnonzero((near > 1) & (top > -np.inf)).tolist():
+                    key = lambda j, b=b, r=r0 + i: cells.exact_key(
+                        _starts_from(last, 1, b - 1, j - 1) + [j], r, kind, gamma
+                    )
+                    picks[i] = _pick(cand[i, : r0 + i + 1], np.full(r0 + i + 1, b - 1), key)
+            last[b, r0:r1] = picks
     n_bins = np.arange(1, alpha + 1)
     key = None
-    if cells.exact_ties():
-        key = lambda b: cells.exact_key(_starts_from(last[0], 1, b + 1, m - 1), m - 1, kind, gamma)
-    b = _pick(top[0] + n_bins * math.log(gamma), n_bins, key) + 1
-    return _starts_from(last[0], 1, b, m - 1)
+    if exact:
+        key = lambda b: cells.exact_key(_starts_from(last, 1, b + 1, m - 1), m - 1, kind, gamma)
+    b = _pick(best[1:, m] + n_bins * math.log(gamma), n_bins, key) + 1
+    return _starts_from(last, 1, b, m - 1)
 
 
 def _scored(hist: CountHistogram, his: np.ndarray, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
@@ -529,6 +603,14 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
     it matches direct rescoring bit for bit. ``tables`` (from log_tables,
     large enough for hist) saves rebuilding them; results do not change.
     """
+    if cfg.alpha is not None:
+        n_cells = np.count_nonzero(hist.freqs)
+        work = cfg.alpha * n_cells * (n_cells + 1) // 2
+        if cfg.alpha < n_cells and work > MAX_CAPPED_WORK:
+            raise ValidationError(
+                f"a fit capped at alpha {cfg.alpha} over {n_cells} cells scores {work} candidates "
+                f"(alpha * M(M + 1) / 2), above the limit {MAX_CAPPED_WORK}"
+            )
     cells = _CellData(hist.freqs, tables)
     rcfg = cfg.resolved(cells.n_cells)
     if rcfg.alpha >= cells.n_cells:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from countstrat import BinningConfig, fit_partition, ingest_counts
-from countstrat import jsonfmt
+from countstrat import jsonfmt, stratify
 from countstrat.cli import main
 from countstrat.stratify import partition_to_json_dict
 
@@ -387,6 +388,24 @@ class TestBadInputFiles:
         counts = tmp_path / "c.csv"
         counts.write_text("id,count\na,1\n" + "b" * 200_000 + ",2\n", encoding="utf-8")
         self.one_error_line(["bin", str(counts), "--no-tune", "--gamma", "0.5"], capsys, "line 3: field larger")
+
+    def test_capped_work_over_limit_fails(self, tmp_path, capsys, monkeypatch):
+        # smoothing makes 60,001 cells: alpha * M(M + 1) / 2 is about 1.1e14
+        # candidates, and the DP tables alone would need 13 GiB
+        counts = tmp_path / "c.csv"
+        counts.write_text("id,count\na,0\nb,60000\n", encoding="utf-8")
+
+        def no_tables(*args):
+            raise AssertionError("cell tables built for a fit over the work limit")
+
+        monkeypatch.setattr(stratify, "_CellData", no_tables)
+        tracemalloc.start()
+        try:
+            argv = ["bin", str(counts), "--no-tune", "--gamma", "0.5", "--alpha", "59999"]
+            self.one_error_line(argv, capsys, "alpha 59999 over 60001 cells")
+            assert tracemalloc.get_traced_memory()[1] < 64 * 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_oversized_predictions_field_fails(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"

@@ -24,7 +24,17 @@ from countstrat import (
     partition_to_json_dict,
     prior_log_prob,
 )
-from countstrat.stratify import MAX_MASS, _CellData, _pick, log_tables, optimal_blocks_per_gamma
+from countstrat.stratify import (
+    _CAPPED_BLOCK,
+    _TIE_REL_WINDOW,
+    MAX_MASS,
+    _CellData,
+    _capped_starts,
+    _pick,
+    _starts_from,
+    log_tables,
+    optimal_blocks_per_gamma,
+)
 
 MULTI = LikelihoodKind.MULTINOMIAL
 POIS = LikelihoodKind.POISSON
@@ -487,6 +497,131 @@ def test_capped_fits_pinned():
                     lines.append(f"{bins} {p.map_score.hex()}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "28b5ed0b9bd48815c67df7c9c91745319b8ad5aa741189483d338657886e61c7"
+
+
+def capped_starts_reference(cells, gamma, alpha, kind):
+    """_capped_starts with one DP step per cell, as the capped rows of the
+    forward pass ran before the blocked pass: row b of ``best`` holds the
+    best b-bin score before each start (row 0 the empty partition), and the
+    ties of each cell go through the float tie rule, then _pick with exact
+    keys for every row whose window holds more than one candidate."""
+    m = cells.n_cells
+    total = int(cells.mass_cum[0, -1])
+    bound = (
+        2.0 * math.lgamma(total + 1)
+        + total * (math.log(total) + math.log(cells.edges[-1]) + 1.0)
+        + m * abs(math.log(gamma))
+        + 1.0
+    )
+    near = -2.0 * _TIE_REL_WINDOW * bound
+    last = np.zeros((alpha + 1, m), dtype=np.int64)
+    best = np.full((alpha + 1, m), -np.inf)
+    best[0, 0] = 0.0
+    nbins = np.zeros((alpha + 1, m), dtype=np.int64)
+    top, top_nbins = np.full(alpha, -np.inf), np.zeros(alpha, dtype=np.int64)
+    acc = np.zeros((1, m))
+    rows = np.arange(alpha)
+    for r in range(m):
+        best[1:, r], nbins[1:, r] = top, top_nbins
+        acc[:, : r + 1] += cells.cell_lg[:, r, None]
+        scores = cells.block_scores(r, slice(0, r + 1), acc[:, : r + 1], kind)[0]
+        src, src_nbins = best[:alpha, : r + 1], nbins[:alpha, : r + 1]
+        cand = src + scores
+        cand += 0.0
+        picks = cand.argmax(axis=1)
+        top = cand[rows, picks]
+        tied = cand == top[:, None]
+        if np.count_nonzero(tied) > alpha:
+            picks = np.where(tied, src_nbins, m).argmin(axis=1)
+        if cells.exact_ties():
+            # a row with no partition yet (fewer cells than bins) is all
+            # -inf; no partition reads what it stores, so it is skipped
+            close = cand >= (top + near)[:, None]
+            for k in np.flatnonzero((close.sum(axis=1) > 1) & (top > -np.inf)):
+                key = lambda j, k=k, r=r: cells.exact_key(_starts_from(last, 1, k, j - 1) + [j], r, kind, gamma)
+                picks[k] = _pick(cand[k], src_nbins[k], key)
+        last[1:, r] = picks
+        top_nbins = src_nbins[rows, picks] + 1
+    n_bins = np.arange(1, alpha + 1)
+    key = None
+    if cells.exact_ties():
+        key = lambda b: cells.exact_key(_starts_from(last, 1, b + 1, m - 1), m - 1, kind, gamma)
+    b = _pick(top + n_bins * math.log(gamma), n_bins, key) + 1
+    return _starts_from(last, 1, b, m - 1)
+
+
+@st.composite
+def capped_rows(draw):
+    """A frequency row of 2-200 counts: random (zeros included), all equal or
+    alternating. Near ties are re-ranked exactly in rows of at most 64 cells
+    and mass 10,000. All-equal and alternating rows tie at every split, which
+    is slow to re-rank, so from 18 to 64 counts they get frequencies of 600
+    or more and break their ties on floats, as they do past 64 cells."""
+    shape = draw(st.sampled_from(("random", "equal", "alternating")))
+    edge = st.sampled_from((_CAPPED_BLOCK - 1, _CAPPED_BLOCK, _CAPPED_BLOCK + 1, 2 * _CAPPED_BLOCK + 1))
+    length = draw(edge | st.integers(2, 64) | st.integers(2, 200))
+    freq = st.integers(600, 2000) if 17 < length <= 64 else st.integers(1, 30)
+    if shape == "equal":
+        row = [draw(freq)] * length
+    elif shape == "alternating":
+        row = (draw(st.lists(freq, min_size=2, max_size=2)) * length)[:length]
+    else:
+        row = draw(st.lists(st.integers(0, 30), min_size=length, max_size=length))
+    row[0] = max(row[0], 1)
+    row[-1] = max(row[-1], 1)  # at least two cells
+    return row
+
+
+@settings(max_examples=150)
+@given(
+    row=capped_rows(),
+    gamma=st.sampled_from((0.1, 0.5, 0.9)) | st.floats(0.01, 0.99),
+    at=st.floats(0.0, 1.0),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_blocked_capped_pass_equals_per_cell_reference(row, gamma, at, kind):
+    h = CountHistogram(len(row) - 1, tuple(row))
+    cells = _CellData(h.freqs)
+    # every alpha below the cell count: the ends, and one drawn anywhere between
+    m = cells.n_cells
+    for alpha in sorted({1, m - 1, 1 + int(at * (m - 2))}):
+        want = capped_starts_reference(cells, gamma, alpha, kind)
+        assert _capped_starts(cells, gamma, alpha, kind) == want
+        got = optimal_partition(h, PriorConfig(gamma, alpha), kind)
+        assert [b.hi for b in got.bins] == cells.blocks(want)[0].tolist()
+        assert got.map_score.hex() == partition_log_score(h, got, PriorConfig(gamma, alpha), kind).hex()
+
+
+def test_numpy_cumsum_along_axis_0_sums_left_to_right():
+    # the capped pass continues each start's left-to-right cell_lg sum with
+    # an in-place np.cumsum(..., axis=0); pairwise summation (np.sum) rounds
+    # these values differently
+    values = [1.0] + [1e-16] * 1000 + [3.0, 0.1] * 50
+    seq, running = [], 0.0
+    for x in values:
+        running += x
+        seq.append(running)
+    column = np.array(values)
+    assert float(np.sum(column)) != seq[-1]
+    got = np.tile(column[:, None], (1, 3))
+    np.cumsum(got, axis=0, out=got)
+    for col in got.T:
+        assert col.tolist() == seq
+
+
+def test_numpy_argmax_takes_the_first_of_equal_maxima():
+    # the capped pass breaks float ties by the lowest start: argmax's first
+    # index, also in rows that hold -inf and in rows all -inf
+    rng = np.random.default_rng(3)
+    rows = np.full((6, 1000), -np.inf)
+    rows[0, [5, 17, 999]] = 2.0
+    rows[1, 1:] = 0.0
+    rows[2] = rng.integers(-3, 4, size=1000).astype(float)
+    rows[2, :400] = -np.inf
+    rows[3, [0, 64, 65]] = -1.0
+    rows[4, ::7] = np.inf
+    want = [5, 1, 400 + int(np.flatnonzero(rows[2, 400:] == 3.0)[0]), 0, 0, 0]
+    assert rows.argmax(axis=1).tolist() == want
 
 
 class TestBruteForce:

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countstrat import (
+    BinningConfig,
     CountRecord,
     GridSpec,
     LikelihoodKind,
     ValidationError,
     brute_force_partition,
     build_histogram,
+    fit_partition,
     held_out_log_likelihood,
     locate_bin,
     optimal_bins,
@@ -307,14 +309,31 @@ def test_one_dp_pass_per_ratio(monkeypatch):
     passes = []
     real_dp = stratify._dp
 
-    def counting_dp(cells, *args):
+    def counting_dp(cells, gammas, kind):
         passes.append(cells.n_hists)
-        return real_dp(cells, *args)
+        return real_dp(cells, gammas, kind)
 
     monkeypatch.setattr(stratify, "_dp", counting_dp)
     spec = GridSpec(beta=1)
     select_gamma(make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13), spec)
     assert passes == [spec.n_seeds] * len(spec.ratios)
+
+
+def test_capped_fit_makes_no_dp_call(monkeypatch):
+    # the capped pass is its own loop; an uncapped fit is one _dp pass
+    passes = []
+    real_dp = stratify._dp
+
+    def counting_dp(cells, gammas, kind):
+        passes.append(len(gammas))
+        return real_dp(cells, gammas, kind)
+
+    monkeypatch.setattr(stratify, "_dp", counting_dp)
+    recs = make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13)
+    assert fit_partition(recs, BinningConfig(gamma=0.5, alpha=3)).n_bins <= 3
+    assert passes == []
+    fit_partition(recs, BinningConfig(gamma=0.5))
+    assert passes == [1]
 
 
 class TestOptimalBins:
