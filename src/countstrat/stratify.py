@@ -29,13 +29,16 @@ The uncapped fit (_dp) is one forward pass with one row per gamma, every
 gamma at once, for each of a stack of histograms that share their cell
 edges (the train sides of a grid search's splits; one histogram
 otherwise). A row extends its own earlier cells, so the pass steps one
-cell at a time; each cell's block scores are computed once per histogram
-for all its rows, and starts that can no longer win in any row are
-pruned. A capped fit (_capped_starts) has one row per bin count, and row
-b reads only row b - 1, so it scores _CAPPED_BLOCK cells at a time
-against every start and then takes one add and one argmax per row and
-block. It prunes nothing and costs O(alpha * M^2) over M cells, so
-optimal_partition refuses more than MAX_CAPPED_WORK candidates.
+cell at a time. The rows step in groups of consecutive gammas, and a
+start that can no longer win in any row of a group leaves that group's
+live set; a group splits in two when its rows' live sets differ enough to
+pay for the extra step. A capped fit (_capped_starts) has one row per bin
+count, and row b reads only row b - 1, so it scores _CAPPED_BLOCK cells
+at a time against every start and then takes one add and one argmax per
+row and block. It prunes nothing and costs O(alpha * M^2) over M cells,
+so optimal_partition refuses more than MAX_CAPPED_WORK candidates. Near
+ties of small histograms are re-ranked by exact keys, which both passes
+build from memoized prefix keys (_PrefixKeys).
 """
 
 from __future__ import annotations
@@ -80,6 +83,24 @@ MAX_CAPPED_WORK = 2_000_000_000
 # Cells per block of the capped pass. Its four buffers hold about this
 # many times M entries each.
 _CAPPED_BLOCK = 16
+# The uncapped pass steps its gamma rows in groups with their own live sets
+# (_dp). Every _SPLIT_STRIDE cells a group of several rows may split in two;
+# it does when that saves at least _GROUP_STEP_COST candidates (one per
+# histogram, row and live start) per cell. That is about the cost of one
+# more group step: some 25 numpy calls whatever their size. On the
+# tune-wide benchmark's search pass (30 train histograms, 2,001 cells) the
+# multinomial rows split once, at cell 799 between gammas 0.2 and 0.3, and
+# score 24 M candidates instead of 65 M in one group; the Poisson rows
+# split twice and score 153 M instead of 233 M.
+_SPLIT_STRIDE = 32
+_GROUP_STEP_COST = 12_000
+# A pass's winning-start table holds one small integer per (histogram,
+# gamma, cell). _blocks_by_group fits a group of histograms in as many
+# passes as keep each table at or below this many entries; one histogram's
+# gammas always share a pass (its yielded blocks hold as many edges). A
+# default-grid pass of ten histograms over MAX_COUNT + 1 cells needs
+# 9.0 * 10^7.
+_MAX_PASS_ENTRIES = 90_000_000
 
 
 class LikelihoodKind(enum.Enum):
@@ -343,6 +364,15 @@ class _CellData:
             return (self.ln_fact[bmass] - lgamma_acc) - bmass * ln_width
         return (bmass * (self.ln_tab[bmass] - ln_width) - bmass) - lgamma_acc
 
+    def block_factor(self, s: int, r: int, kind: LikelihoodKind, g: int = 0) -> Fraction:
+        """Exact likelihood factor of histogram g's block of cells s..r in
+        exact_key."""
+        mass = int(self.mass_cum[g, r + 1] - self.mass_cum[g, s])
+        width = int(self.edges[r + 1] - self.edges[s])
+        if kind is LikelihoodKind.MULTINOMIAL:
+            return Fraction(math.factorial(mass), width**mass)
+        return Fraction(mass**mass, width**mass)
+
     def exact_key(self, starts: list[int], r: int, kind: LikelihoodKind, gamma: float, g: int = 0) -> Fraction:
         """Exact rational ranking key of the partition of histogram g's cells
         0..r given by the block start indices, with the prior factor gamma
@@ -354,13 +384,42 @@ class _CellData:
         """
         key = Fraction(1)
         for start, nxt in zip(starts, starts[1:] + [r + 1]):
-            mass = int(self.mass_cum[g, nxt] - self.mass_cum[g, start])
-            width = int(self.edges[nxt] - self.edges[start])
-            if kind is LikelihoodKind.MULTINOMIAL:
-                key *= Fraction(math.factorial(mass), width**mass)
-            else:
-                key *= Fraction(mass**mass, width**mass)
+            key *= self.block_factor(start, nxt - 1, kind, g)
         return key * Fraction(gamma) ** len(starts)
+
+
+class _PrefixKeys:
+    """exact_key of the partitions a pass stores for histogram g, memoized.
+
+    Row k's stored partition of cells 0..r ends in the block last[k][r]..r
+    after row k - shift's stored partition of the cells before it, so its key
+    is that prefix's key times the block's factor and the row's gamma
+    (gammas[k]); exact rationals make the product equal to exact_key's. Each
+    prefix key and block factor is computed once.
+    """
+
+    def __init__(self, cells: _CellData, last: np.ndarray, shift: int, gammas, kind: LikelihoodKind, g: int = 0):
+        self.cells, self.last, self.shift, self.kind, self.g = cells, last, shift, kind, g
+        self.gammas = [Fraction(x) for x in gammas]
+        self.prefixes: dict[tuple[int, int], Fraction] = {}
+        self.factors: dict[tuple[int, int], Fraction] = {}
+
+    def candidate(self, k: int, s: int, r: int) -> Fraction:
+        """Key of row k's candidate for cells 0..r whose last block starts
+        at cell s."""
+        factor = self.factors.get((s, r))
+        if factor is None:
+            factor = self.factors[s, r] = self.cells.block_factor(s, r, self.kind, self.g)
+        return self.prefix(k - self.shift, s - 1) * factor * self.gammas[k]
+
+    def prefix(self, k: int, r: int) -> Fraction:
+        """Key of row k's stored partition of cells 0..r (1 for r < 0)."""
+        if r < 0:
+            return Fraction(1)
+        key = self.prefixes.get((k, r))
+        if key is None:
+            key = self.prefixes[k, r] = self.candidate(k, self.last.item(k, r), r)
+        return key
 
 
 def _bins(his: np.ndarray) -> tuple[Bin, ...]:
@@ -387,39 +446,100 @@ def _pick(scores: np.ndarray, n_bins: np.ndarray, exact_key=None) -> int:
     return int(near[n_bins[near].argmin()])
 
 
-def _starts_from(last: np.ndarray, shift: int, k: int, r: int) -> list[int]:
+def _starts_from(last, shift: int, k: int, r: int) -> list[int]:
     """Block starts of the partition that row k of the pass stores for cells
-    0..r (empty for r < 0); the prefix before each block is shift rows up."""
+    0..r (empty for r < 0); the prefix before each block is shift rows up.
+    The pass's winning-start table is read as last[k][r]: nested lists
+    (from ndarray.tolist) where a backtrack takes thousands of steps, else
+    the ndarray itself, whose starts come back as NumPy integers."""
     starts = []
     while r >= 0:
-        starts.append(last.item(k, r))
+        starts.append(last[k][r])
         r, k = starts[-1] - 1, k - shift
     return starts[::-1]
 
 
-def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> tuple[np.ndarray, np.ndarray]:
+class _Group:
+    """A run of a _dp pass's rows, ascending in gamma, stepped with its own
+    live set. ``rows`` indexes the pass's rows, ``add`` holds their prior
+    terms and ``cut`` their pruning thresholds; ``top`` and ``top_nbins`` are
+    each (histogram, row)'s optimum over the cells so far. The first n
+    entries of ``live`` are the group's live starts, ascending, and ``acc``,
+    ``best`` and ``nbins`` hold, aligned with them, the left-to-right sum of
+    cell_lg from each start to the current cell and each row's best score
+    and bin count before it; all four keep room for 64 more."""
+
+    def __init__(self, rows, add, cut, top, top_nbins, live, acc, best, nbins):
+        self.rows, self.add, self.cut, self.top, self.top_nbins = rows, add, cut, top, top_nbins
+        self.hists, self.cols = np.ogrid[: top.shape[0], : top.shape[1]]
+        self.n, self.live, self.acc, self.best, self.nbins = len(live), live, acc, best, nbins
+        self.grow()
+
+    def grow(self):
+        """Room for 64 more live starts."""
+        self.live = np.pad(self.live, (0, 64))
+        self.acc = np.pad(self.acc, ((0, 0), (0, 64)))
+        self.best = np.pad(self.best, ((0, 0), (0, 0), (0, 64)))
+        self.nbins = np.pad(self.nbins, ((0, 0), (0, 0), (0, 64)))
+
+    def part(self, rows: slice, keep: np.ndarray) -> "_Group":
+        """A group of the given slice of this group's rows, with the live
+        starts where keep is set."""
+        n = self.n
+        return _Group(
+            self.rows[rows], self.add[rows], self.cut[rows], self.top[:, rows], self.top_nbins[:, rows],
+            self.live[:n][keep], self.acc[:, :n][:, keep], self.best[:, rows, :n][..., keep],
+            self.nbins[:, rows, :n][..., keep],
+        )
+
+
+def _split_point(keep: np.ndarray, n_hists: int) -> int:
+    """Where a group of rows splits in two: keep[i] marks the live starts
+    that the group's row i keeps. Returns the p that puts rows [:p] and [p:]
+    into groups of their own with the fewest candidates per cell, when that
+    saves at least _GROUP_STEP_COST candidates per cell over the group as it
+    is, else 0."""
+    n_rows = len(keep)
+    # the starts that some row of [:i + 1], and of [i:], keeps
+    below = np.logical_or.accumulate(keep).sum(axis=1)
+    above = np.logical_or.accumulate(keep[::-1]).sum(axis=1)[::-1]
+    sizes = np.arange(1, n_rows)
+    cost = below[:-1] * sizes + above[1:] * sizes[::-1]
+    p = int(cost.argmin())
+    if n_hists * (int(below[-1]) * n_rows - int(cost[p])) >= _GROUP_STEP_COST:
+        return p + 1
+    return 0
+
+
+def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> np.ndarray:
     """Uncapped forward DP over cells with one row per (histogram g, entry k
-    of ``gammas``); returns (top, last).
+    of ``gammas``); returns the winning-start table ``last``.
 
     Row (g, k) extends its own optimum over cells 0..s-1 by the block s..r
     and the block's prior term ln(gammas[k]); last[g, k, r] is the winning
-    s and top[g, k] the best score over all cells. gammas[k] is row k's
-    prior factor in exact keys.
+    s. gammas[k] is row k's prior factor in exact keys.
 
     Every prefix resolves its ties by _pick's rule, which matches comparing
     full partitions by (score, n_bins, reversed split sequence): float ties
-    are resolved for all rows at once, and rows of a histogram small enough
-    for exact keys re-rank their near ties through _pick itself. Block
-    scores are computed once per histogram and cell for all its rows.
-    Merging blocks never raises the likelihood, so a start whose candidate
-    at cell r is below the row's best over cells 0..r plus the prior term
-    loses to the start r + 1 at every later cell (PELT with K = 0); it
-    leaves the live set once it is below by more than ``slack`` in every
-    row, which keeps it out of every later tie window of every row. The
-    best score and bin count before each start are kept only for the live
-    starts, aligned with ``live``.
+    are resolved for all rows of a step at once, and rows of a histogram
+    small enough for exact keys re-rank their near ties through _pick
+    itself, with keys from _PrefixKeys. Merging blocks never raises the
+    likelihood, so a start whose candidate at cell r is below the row's best
+    over cells 0..r plus the prior term loses to the start r + 1 at every
+    later cell (PELT with K = 0).
+
+    The rows are stepped in groups (_Group) of consecutive gammas, each with
+    its own live set: every cell up to r enters it as a start, and a start
+    leaves it once it is below by more than ``slack`` in every row of the
+    group, which keeps it out of every later tie window of those rows. The
+    pass starts with one group of all rows, sorted by gamma. Every
+    _SPLIT_STRIDE cells a group of several rows reads its rows' own keep
+    masks and splits in two (_split_point) when that saves enough candidates
+    per cell: low gammas keep far more starts than high ones. Groups never
+    merge. Each row still sees every start its own test keeps, so the
+    winning starts do not depend on the grouping.
     """
-    m, n_hists, n_rows = cells.n_cells, cells.n_hists, len(gammas)
+    m, n_hists = cells.n_cells, cells.n_hists
     # bound >= |score| of any partition of any prefix of any histogram, and
     # of every term summed into one: block log(mass!), cell log(f!) sums,
     # mass*log(mass), mass*log(width), the Poisson mass term, and the prior
@@ -432,74 +552,80 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> tu
     )
     # a float score sums at most m + 16 terms, each off by a few ulps of bound
     slack = (_TIE_REL_WINDOW + 8.0 * (m + 16) * np.finfo(float).eps) * bound
-    add = np.array([math.log(x) for x in gammas])[:, None]
-    cut = add - slack
     # every member of _pick's near set lies at or above this below the top
     near = -2.0 * _TIE_REL_WINDOW * bound
-    exact = [g for g in range(n_hists) if cells.exact_ties(g)]
     # bin counts and starts are at most m
     small = np.int16 if m < 2**15 else np.int32
-    last = np.zeros((n_hists, n_rows, m), dtype=small)
-    # the rows' optimum over the empty prefix, then over cells 0..r
-    top = np.zeros((n_hists, n_rows))
-    top_nbins = np.zeros((n_hists, n_rows), dtype=small)
-    live = np.arange(m)  # the first n entries are the live starts, ascending
-    # aligned with live, 64 columns at a time: the left-to-right sum of
-    # cell_lg from each live start to r, and row k's best score and bin
-    # count before it (set on entry)
-    acc = np.zeros((n_hists, 64))
-    best = np.zeros((n_hists, n_rows, 64))
-    nbins = np.zeros(best.shape, dtype=small)
-    hists, rows = np.ogrid[:n_hists, :n_rows]
-    n = 0
+    last = np.zeros((n_hists, len(gammas), m), dtype=small)
+    keys = {g: _PrefixKeys(cells, last[g], 0, gammas, kind, g) for g in range(n_hists) if cells.exact_ties(g)}
+    order = np.argsort(gammas, kind="stable")
+    add = np.array([math.log(x) for x in gammas])[order, None]
+    # the rows' optimum over the empty prefix; no start is live yet
+    shape = (n_hists, len(gammas))
+    groups = [
+        _Group(order, add, add - slack, np.zeros(shape), np.zeros(shape, small), np.zeros(0, np.int64),
+               np.zeros((n_hists, 0)), np.zeros((*shape, 0)), np.zeros((*shape, 0), small))
+    ]
     for r in range(m):
-        if n == acc.shape[1]:
-            acc = np.pad(acc, ((0, 0), (0, 64)))
-            best = np.pad(best, ((0, 0), (0, 0), (0, 64)))
-            nbins = np.pad(nbins, ((0, 0), (0, 0), (0, 64)))
-        live[n], acc[:, n], best[:, :, n], nbins[:, :, n] = r, 0.0, top, top_nbins
-        n += 1
-        starts, lg_sum = live[:n], acc[:, :n]
-        src, src_nbins = best[:, :, :n], nbins[:, :, :n]
-        lg_sum += cells.cell_lg[:, r, None]
-        # a slice while nothing is pruned: views, not gathers
-        scores = cells.block_scores(r, slice(0, n) if n == r + 1 else starts, lg_sum, kind)
-        cand = src + scores[:, None]
-        cand += add
-        picks = cand.argmax(axis=2)
-        # store the float maximum as the next best, so chain error stays at ulp scale
-        top = cand[hists, rows, picks]
-        # the top exactly, then fewer bins, then the lowest index: starts
-        # ascend, so that is the earlier split
-        tied = cand == top[..., None]
-        if np.count_nonzero(tied) > n_hists * n_rows:
-            picks = np.where(tied, src_nbins, m).argmin(axis=2)
-        for g in exact:
-            close = cand[g] >= (top[g] + near)[:, None]
-            for k in np.flatnonzero(close.sum(axis=1) > 1):
-                key = lambda j, g=g, k=k, s=starts, r=r: cells.exact_key(
-                    _starts_from(last[g], 0, k, int(s[j]) - 1) + [int(s[j])], r, kind, gammas[k], g
-                )
-                picks[g, k] = _pick(cand[g, k], src_nbins[g, k], key)
-        last[:, :, r] = starts[picks]
-        top_nbins = src_nbins[hists, rows, picks] + 1
-        keep = (cand >= top[..., None] + cut).any(axis=(0, 1))
-        n_keep = np.count_nonzero(keep)
-        if n_keep < n:
-            live[:n_keep], acc[:, :n_keep] = starts[keep], lg_sum[:, keep]
-            best[:, :, :n_keep], nbins[:, :, :n_keep] = src[..., keep], src_nbins[..., keep]
-            n = n_keep
-    return top, last
+        check = (r + 1) % _SPLIT_STRIDE == 0
+        stepped = []
+        for grp in groups:
+            if grp.n == len(grp.live):
+                grp.grow()
+            n, live, acc, best, nbins = grp.n, grp.live, grp.acc, grp.best, grp.nbins
+            live[n], acc[:, n], best[:, :, n], nbins[:, :, n] = r, 0.0, grp.top, grp.top_nbins
+            n = grp.n = n + 1
+            starts, lg_sum = live[:n], acc[:, :n]
+            src, src_nbins = best[:, :, :n], nbins[:, :, :n]
+            lg_sum += cells.cell_lg[:, r, None]
+            # a slice while nothing is pruned: views, not gathers
+            scores = cells.block_scores(r, slice(0, n) if n == r + 1 else starts, lg_sum, kind)
+            cand = src + scores[:, None]
+            cand += grp.add
+            picks = cand.argmax(axis=2)
+            # store the float maximum as the next best, so chain error stays at ulp scale
+            top = grp.top = cand[grp.hists, grp.cols, picks]
+            # the top exactly, then fewer bins, then the lowest index: starts
+            # ascend, so that is the earlier split
+            tied = cand == top[..., None]
+            if np.count_nonzero(tied) > top.size:
+                picks = np.where(tied, src_nbins, m).argmin(axis=2)
+            for g, prefix_keys in keys.items():
+                close = cand[g] >= (top[g] + near)[:, None]
+                for i in np.flatnonzero(close.sum(axis=1) > 1).tolist():
+                    key = lambda j, k=grp.rows.item(i), s=starts, r=r: prefix_keys.candidate(k, s.item(j), r)
+                    picks[g, i] = _pick(cand[g, i], src_nbins[g, i], key)
+            last[:, grp.rows, r] = starts[picks]
+            grp.top_nbins = src_nbins[grp.hists, grp.cols, picks] + 1
+            keep = cand >= top[..., None] + grp.cut
+            if check and len(grp.rows) > 1:
+                keep = keep.any(axis=0)
+                p = _split_point(keep, n_hists)
+                if p:
+                    stepped += [grp.part(slice(None, p), keep[:p].any(axis=0))]
+                    stepped += [grp.part(slice(p, None), keep[p:].any(axis=0))]
+                    continue
+                keep = keep.any(axis=0)
+            else:
+                keep = keep.any(axis=(0, 1))
+            n_keep = np.count_nonzero(keep)
+            if n_keep < n:
+                live[:n_keep], acc[:, :n_keep] = starts[keep], lg_sum[:, keep]
+                best[:, :, :n_keep], nbins[:, :, :n_keep] = src[..., keep], src_nbins[..., keep]
+                grp.n = n_keep
+            stepped.append(grp)
+        groups = stepped
+    return last
 
 
 def _uncapped_blocks(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> Iterator[list]:
     """cells.blocks of the uncapped MAP partition for each gamma, one list
     per histogram in order, from one pass; each list is built as it is
-    consumed, so one partition's block starts are alive at a time."""
-    _, last = _dp(cells, gammas, kind)
+    consumed, from one row of the table at a time read as a list."""
+    last = _dp(cells, gammas, kind)
     m = cells.n_cells
-    for g, rows in enumerate(last):
-        yield [cells.blocks(_starts_from(rows, 0, k, m - 1), g) for k in range(len(gammas))]
+    for g, table in enumerate(last):
+        yield [cells.blocks(_starts_from([row.tolist()], 0, 0, m - 1), g) for row in table]
 
 
 def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodKind) -> list[int]:
@@ -525,10 +651,10 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
     """
     m, w = cells.n_cells, _CAPPED_BLOCK
     edges, mass_cum, cell_lg = cells.edges, cells.mass_cum[0], cells.cell_lg[0]
-    exact = cells.exact_ties()
     best = np.full((alpha + 1, m + 1), -np.inf)
     best[0, 0] = 0.0
     last = np.zeros((alpha + 1, m), dtype=np.int16 if m < 2**15 else np.int32)
+    keys = _PrefixKeys(cells, last, 1, (gamma,) * (alpha + 1), kind) if cells.exact_ties() else None
     # flat block buffers, each viewed as one contiguous (rows, r1) array per
     # block: row 0 of lg (lg_buf[:r1]) carries each start's cell_lg sum
     # before the block and row 1 + i holds its sum to cell r0 + i; iv holds
@@ -571,18 +697,16 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
             cand = np.add(sv, best[b - 1, :r1], out=fv)
             picks = cand.argmax(axis=1)
             top = best[b, r0 + 1 : r1 + 1] = cand[cols[:n], picks]
-            if exact:
+            if keys is not None:
                 near = (cand >= (top - _TIE_REL_WINDOW * np.maximum(1.0, np.abs(top)))[:, None]).sum(axis=1)
                 for i in np.flatnonzero((near > 1) & (top > -np.inf)).tolist():
-                    key = lambda j, b=b, r=r0 + i: cells.exact_key(
-                        _starts_from(last, 1, b - 1, j - 1) + [j], r, kind, gamma
-                    )
+                    key = lambda j, b=b, r=r0 + i: keys.candidate(b, j, r)
                     picks[i] = _pick(cand[i, : r0 + i + 1], np.full(r0 + i + 1, b - 1), key)
             last[b, r0:r1] = picks
     n_bins = np.arange(1, alpha + 1)
     key = None
-    if exact:
-        key = lambda b: cells.exact_key(_starts_from(last, 1, b + 1, m - 1), m - 1, kind, gamma)
+    if keys is not None:
+        key = lambda b: keys.prefix(b + 1, m - 1)
     b = _pick(best[1:, m] + n_bins * math.log(gamma), n_bins, key) + 1
     return _starts_from(last, 1, b, m - 1)
 
@@ -643,10 +767,14 @@ def optimal_blocks_per_gamma(
 
 def _blocks_by_group(freqs, groups, gammas, kind, tables):
     """optimal_blocks_per_gamma's (g, blocks) pairs, one pass per group of
-    row indices."""
+    row indices, or per run of a group's rows when one pass would hold more
+    than _MAX_PASS_ENTRIES winning starts."""
     for members in groups:
-        cells = _CellData(np.stack([freqs[g] for g in members]), tables)
-        yield from zip(members, _uncapped_blocks(cells, gammas, kind))
+        size = max(1, _MAX_PASS_ENTRIES // (len(gammas) * np.count_nonzero(freqs[members[0]])))
+        for i in range(0, len(members), size):
+            chunk = members[i : i + size]
+            cells = _CellData(np.stack([freqs[g] for g in chunk]), tables)
+            yield from zip(chunk, _uncapped_blocks(cells, gammas, kind))
 
 
 def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:

@@ -6,19 +6,19 @@ scored under the piecewise-constant density each gamma's bins define. Per
 ratio, gammas are ranked by descending mean held-out log-likelihood; the
 gamma with the lowest rank-index sum across ratios wins.
 
-The search works on columns, one ratio at a time: it takes the counts as
-one int64 array (select_gamma_columns and optimal_bins_columns; the record
-forms select_gamma and optimal_bins read the records into one), each
-seed's split is a pair of index arrays into it (the seeded permutation
+The search works on columns: it takes the counts as one int64 array
+(select_gamma_columns and optimal_bins_columns; the record forms
+select_gamma and optimal_bins read the records into one), each (ratio,
+seed) split is a pair of index arrays into it (the seeded permutation
 split_records uses), and only the train side's histogram (one bincount
-plus beta) and the test count column are kept. The ratio's train
-histograms that share their cell edges (with beta >= 1, those with the
-same maximum) are stacked and fit in one DP pass, with one row per
-(histogram, gamma); every split is then scored from its blocks in test
-order. The log tables of every fit are slices of one pair
-built per search and sized by the whole input. split_records and
-held_out_log_likelihood are the record-list forms of the same split and
-scorer.
+plus beta) and the test count column are kept. Every split is drawn
+first; then the train histograms of all ratios that share their cell
+edges (with beta >= 1, those with the same maximum) are stacked and fit in
+one DP pass, with one row per (histogram, gamma), and each split is scored
+from its blocks in test order as they arrive. The log tables of every fit
+are slices of one pair built per search and sized by the whole input.
+split_records and held_out_log_likelihood are the record-list forms of
+the same split and scorer.
 """
 
 from __future__ import annotations
@@ -150,22 +150,23 @@ def _search(counts: np.ndarray, spec: GridSpec):
         raise ValidationError("records must be non-empty")
     c_max = int(counts.max())
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
-    loglik = {}
-    for ri, ratio in enumerate(spec.ratios):
-        trains, tests = [], []
+    # split i is (ratio i // n_seeds, seed i % n_seeds)
+    trains, tests = [], []
+    for ratio in spec.ratios:
         for seed in range(spec.n_seeds):
             train, test = _index_split(len(counts), ratio, seed)
             trains.append(np.bincount(counts[train]) + spec.beta)
             tests.append(counts[test])
-        for seed, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
-            loglik[ri, seed] = _held_out(trains[seed], tests[seed], blocks, tables[0])
+    loglik = [()] * len(trains)
+    for i, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
+        loglik[i] = _held_out(trains[i], tests[i], blocks, tables[0])
     means: dict[tuple[int, int], float] = {}
     table = []
     for gi, gamma in enumerate(spec.gammas):
         for ri, ratio in enumerate(spec.ratios):
             acc = 0.0
             for seed in range(spec.n_seeds):
-                acc += loglik[ri, seed][gi]
+                acc += loglik[ri * spec.n_seeds + seed][gi]
             mean = acc / spec.n_seeds
             means[(gi, ri)] = mean
             table.append((gamma, ratio, mean))

@@ -24,13 +24,17 @@ from countstrat import (
     partition_to_json_dict,
     prior_log_prob,
 )
+from countstrat import stratify
 from countstrat.stratify import (
     _CAPPED_BLOCK,
+    _SPLIT_STRIDE,
     _TIE_REL_WINDOW,
     MAX_MASS,
     _CellData,
     _capped_starts,
+    _dp,
     _pick,
+    _PrefixKeys,
     _starts_from,
     log_tables,
     optimal_blocks_per_gamma,
@@ -452,6 +456,89 @@ def test_stacked_pass_equals_separate_fits(rows, others, at, kind):
 def test_stack_must_share_edges():
     with pytest.raises(ValidationError, match="share their cell edges"):
         _CellData(np.array([[1, 0, 2], [1, 2, 0]]))
+
+
+@settings(max_examples=100)
+@given(
+    n_rows=st.integers(1, 3),
+    length=st.sampled_from((_SPLIT_STRIDE - 1, _SPLIT_STRIDE, _SPLIT_STRIDE + 1)) | st.integers(1, 64),
+    data=st.data(),
+    others=st.lists(st.floats(0.01, 0.99), max_size=5, unique=True),
+    at=st.integers(0, 5),
+    stride=st.sampled_from((1, 3, _SPLIT_STRIDE)),
+    cost=st.sampled_from((0, math.inf)),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_grouped_pass_rows_equal_one_row_passes(n_rows, length, data, others, at, stride, cost, kind):
+    # cost 0 splits a group of several rows at every check, inf never; up
+    # to 64 cells (mass 1,920) near ties are re-ranked exactly, and 0.5
+    # makes merging two equal cells an exact tie
+    rows = [data.draw(st.lists(st.integers(1, 30), min_size=length, max_size=length)) for _ in range(n_rows)]
+    gammas = tuple(others[:at]) + (0.5,) + tuple(others[at:])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stratify, "_SPLIT_STRIDE", stride)
+        mp.setattr(stratify, "_GROUP_STEP_COST", cost)
+        last = _dp(_CellData(rows), gammas, kind)
+    assert last.shape == (n_rows, len(gammas), length)
+    for g, row in enumerate(rows):
+        for k, gamma in enumerate(gammas):
+            assert last[g, k].tolist() == _dp(_CellData([row]), (gamma,), kind)[0, 0].tolist()
+
+
+@settings(max_examples=60)
+@given(
+    freqs=st.lists(st.integers(0, 30), min_size=1, max_size=64).filter(any),
+    gammas=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    shift=st.sampled_from((0, 1)),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_prefix_keys_equal_exact_key(freqs, gammas, shift, seed, kind):
+    # a random winning-start table: row k's last block over cells 0..r
+    # starts at or before r, and with shift 1 (the capped pass, row k holds
+    # k-bin partitions) at or after k - 1, so row k - 1 fills the prefix
+    cells = _CellData(freqs)
+    m, rng = cells.n_cells, np.random.default_rng(seed)
+    if shift:
+        gammas = gammas[:1] * (min(len(gammas), m) + 1)
+    last = np.zeros((len(gammas), m), dtype=np.int64)
+    for k in range(shift, len(gammas)):
+        for r in range(shift * (k - 1), m):
+            last[k, r] = rng.integers(shift * (k - 1), r + 1)
+    table = last.tolist()
+    keys = _PrefixKeys(cells, last, shift, gammas, kind)
+    for k in range(shift, len(gammas)):
+        for r in range(shift * (k - 1), m):
+            want = cells.exact_key(_starts_from(table, shift, k, r), r, kind, gammas[k])
+            assert keys.prefix(k, r) == want
+            s = int(rng.integers(shift * (k - 1), r + 1))
+            want = cells.exact_key(_starts_from(table, shift, k - shift, s - 1) + [s], r, kind, gammas[k])
+            assert keys.candidate(k, s, r) == want
+
+
+def test_pass_table_limit_splits_a_group_into_passes(monkeypatch):
+    # five train-like rows over one set of cells; a limit of two rows' worth
+    # of winning starts fits them in passes of 2, 2 and 1 histograms
+    rng = np.random.default_rng(11)
+    freqs = [rng.integers(1, 40, size=90) for _ in range(5)]
+    gammas = (0.1, 0.5, 0.9)
+    for kind in LikelihoodKind:
+        whole = list(optimal_blocks_per_gamma(freqs, gammas, kind))
+        passes = []
+        real_dp = stratify._dp
+
+        def counting_dp(cells, gammas, kind):
+            passes.append(cells.n_hists)
+            return real_dp(cells, gammas, kind)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(stratify, "_dp", counting_dp)
+            mp.setattr(stratify, "_MAX_PASS_ENTRIES", 2 * len(gammas) * 90 + 1)
+            chunked = list(optimal_blocks_per_gamma(freqs, gammas, kind))
+        assert passes == [2, 2, 1]
+        assert [g for g, _ in chunked] == [g for g, _ in whole] == list(range(5))
+        for (_, got), (_, want) in zip(chunked, whole):
+            assert [(h.tolist(), w.tolist()) for h, w in got] == [(h.tolist(), w.tolist()) for h, w in want]
 
 
 @settings(max_examples=200)

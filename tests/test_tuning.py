@@ -303,9 +303,10 @@ def test_select_gamma_equals_reference(counts, gammas, ratios, n_seeds, beta, ki
     assert (sel.gamma_best, sel.table) == reference_selection(recs, spec)
 
 
-def test_one_dp_pass_per_ratio(monkeypatch):
+def test_one_dp_pass_per_search(monkeypatch):
     # 13 copies of the maximum 40 and at most 5 held out: every train side
-    # ends at 40, so with beta = 1 a ratio's train histograms share edges
+    # ends at 40, so with beta = 1 all the search's train histograms share
+    # edges
     passes = []
     real_dp = stratify._dp
 
@@ -316,7 +317,7 @@ def test_one_dp_pass_per_ratio(monkeypatch):
     monkeypatch.setattr(stratify, "_dp", counting_dp)
     spec = GridSpec(beta=1)
     select_gamma(make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13), spec)
-    assert passes == [spec.n_seeds] * len(spec.ratios)
+    assert passes == [spec.n_seeds * len(spec.ratios)]
 
 
 def test_capped_fit_makes_no_dp_call(monkeypatch):
