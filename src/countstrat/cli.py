@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,10 @@ from .tuning import (
     select_gamma_columns,
     tuning_report_json_dict,
 )
+
+
+# characters that make csv.writer (QUOTE_MINIMAL) quote a field
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 def _read_text(path: str) -> str:
@@ -102,6 +107,10 @@ def _grid_spec(args) -> GridSpec:
     )
 
 
+def _binning(args) -> BinningConfig:
+    return BinningConfig(args.gamma, args.alpha, args.beta, LikelihoodKind(args.likelihood))
+
+
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--gammas", type=_float_list, default=DEFAULT_GAMMAS, action=_GridFlag,
@@ -128,13 +137,7 @@ def _cmd_bin(args) -> int:
             raise _Usage("--no-tune requires --gamma")
         if args.grid_flags:
             raise _Usage(f"{args.grid_flags[0]} is only honored without --no-tune")
-        cfg = BinningConfig(
-            gamma=args.gamma,
-            alpha=args.alpha,
-            beta=args.beta,
-            likelihood_kind=LikelihoodKind(args.likelihood),
-        )
-        partition = fit_partition_columns(counts, cfg)
+        partition = fit_partition_columns(counts, _binning(args))
     elif args.gamma is not None or args.alpha is not None:
         raise _Usage("--gamma and --alpha are only honored together with --no-tune")
     else:
@@ -169,6 +172,9 @@ def _cmd_loss(args) -> int:
     losses = [cfg.lambda2 * value for value, _ in rows]
     if not all(map(math.isfinite, losses)):
         raise ValidationError("a bin loss times --lambda2 exceeds the largest float; lower --lambda2 or --lambda1")
+    if _CSV_QUOTED.search("".join(ids)):  # one check, so plain ids cost nothing
+        # quoted and with doubled quotes, as csv.writer's QUOTE_MINIMAL writes them
+        ids = ['"%s"' % i.replace('"', '""') if _CSV_QUOTED.search(i) else i for i in ids]
     # '%.17g' is format_float once the value is finite; the reader bounds every prediction
     for sample_id, y, y_hat, (_, b), loss in zip(ids, ys, y_hats, rows, losses):
         lines.append("%s,%s,%.17g,%s,%s,%.17g" % (sample_id, y, y_hat, b.lo, b.hi, loss))
@@ -196,12 +202,6 @@ def _cmd_synth(args) -> int:
         noise_bias=args.noise_bias,
         seed=args.seed,
     )
-    binning = BinningConfig(
-        gamma=args.gamma,
-        alpha=args.alpha,
-        beta=args.beta,
-        likelihood_kind=LikelihoodKind(args.likelihood),
-    )
     trainer = TrainerConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -210,7 +210,7 @@ def _cmd_synth(args) -> int:
         holdout_ratio=args.holdout_ratio,
     )
     seeds = tuple(args.seed + k for k in range(args.seeds))
-    report = run_comparison(spec, binning, trainer, seeds)
+    report = run_comparison(spec, _binning(args), trainer, seeds)
     _write_output(jsonfmt.dumps(comparison_json_dict(report)), args.output)
     return 0
 

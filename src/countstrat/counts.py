@@ -237,8 +237,7 @@ def build_histogram(records: list[CountRecord]) -> CountHistogram:
 
 def smooth(hist: CountHistogram, beta: int = 1) -> CountHistogram:
     """Additively smooth: add ``beta`` to every cell across [0, C]."""
-    if beta < 0:
-        raise ValidationError("beta must be >= 0")
+    check_integer("beta", beta, 0)
     if beta == 0:
         return hist
     return CountHistogram(

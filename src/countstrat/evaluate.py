@@ -9,8 +9,8 @@ reported alongside.
 Predictions are read as columns: prediction_columns parses the CSV with
 counts.read_columns into a list of ids, an int64 ground-truth array and a
 float64 prediction array, and evaluate_columns reports on the two arrays.
-The record-list forms (parse_predictions, evaluate, per_bin_stats,
-global_stats) convert to or from the same arrays.
+The record-list forms (parse_predictions, evaluate) convert to or from
+the same arrays.
 """
 
 from __future__ import annotations
@@ -105,14 +105,9 @@ def _columns(preds: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter((r.y for r in preds), np.int64, n), np.fromiter((r.y_hat for r in preds), float, n)
 
 
-def per_bin_stats(preds: list[PredictionRecord], partition: Partition) -> list[BinStats]:
+def _per_bin(ys: np.ndarray, errs: np.ndarray, partition: Partition) -> list[BinStats]:
     """Group absolute errors by the ground truth's bin (clamping above the
     range into the last bin) and report n/MAE/population std per bin."""
-    ys, y_hats = _columns(preds)
-    return _per_bin(ys, np.abs(ys - y_hats), partition)
-
-
-def _per_bin(ys: np.ndarray, errs: np.ndarray, partition: Partition) -> list[BinStats]:
     idx, _ = locate_bins(partition.bins, ys)
     # a stable sort keeps each bin's errors in input order, so every slice
     # holds the same array, and gives the same mean/std, as a per-bin list
@@ -140,18 +135,6 @@ def pool(stats: list[BinStats]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-def global_stats(preds: list[PredictionRecord]) -> tuple[float, float]:
-    """(MAE, population std) of all absolute errors, ignoring bins."""
-    ys, y_hats = _columns(preds)
-    return _global(np.abs(ys - y_hats))
-
-
-def _global(errs: np.ndarray) -> tuple[float, float]:
-    if not len(errs):
-        raise ValidationError("cannot evaluate an empty prediction set")
-    return float(errs.mean()), float(errs.std())
-
-
 def evaluate(preds: list[PredictionRecord], partition: Partition) -> EvalReport:
     """evaluate_columns of the records' truths and predictions."""
     return evaluate_columns(*_columns(preds), partition)
@@ -159,12 +142,13 @@ def evaluate(preds: list[PredictionRecord], partition: Partition) -> EvalReport:
 
 def evaluate_columns(ys: np.ndarray, y_hats: np.ndarray, partition: Partition) -> EvalReport:
     """The EvalReport of int64 ground truths ``ys`` against float64
-    predictions ``y_hats`` (prediction_columns' arrays)."""
+    predictions ``y_hats`` (prediction_columns' arrays). The global MAE/std
+    are those of all absolute errors, ignoring bins; an empty set fails in
+    pool."""
     errs = np.abs(ys - y_hats)
     stats = _per_bin(ys, errs, partition)
     mu_pool, sigma_pool = pool(stats)
-    g_mae, g_std = _global(errs)
-    return EvalReport(tuple(stats), mu_pool, sigma_pool, g_mae, g_std, len(ys))
+    return EvalReport(tuple(stats), mu_pool, sigma_pool, float(errs.mean()), float(errs.std()), len(ys))
 
 
 def report_json_dict(report: EvalReport) -> dict:

@@ -83,35 +83,30 @@ def _validated(assignment: BinAssignment, batch_size: int) -> None:
 
 
 _MAX_BOUND = 1 << 32  # the 32-bit Lemire path of Generator.integers
-_REFILL = 1024  # raw outputs per refill at most, so a refill's list stays small
+_REFILL = 1024  # raw outputs per refill, so a refill's list stays small
 
 
-def _bounded_draws(seed: int, bound: int, count: int) -> Callable[[int], int]:
+def _bounded_draws(seed: int, bound: int) -> Callable[[int], int]:
     """Return draw(b) for 1 <= b <= bound: called again and again, it returns
     what int(rng.integers(b)) returns call after call for
-    rng = Generator(PCG64(seed)).
-
-    count is the number of 32-bit values the caller expects to read; each
-    refill reads the raw outputs still expected, at most _REFILL of them.
+    rng = Generator(PCG64(seed)). The generator is private, so reading
+    _REFILL raw outputs ahead changes no value it returns.
     """
     if bound > _MAX_BOUND:
         raise ValidationError(f"uniform draws need a bound of at most 2**32, got {bound}")
     bitgen = np.random.PCG64(seed)
-    left = count
     take = iter(()).__next__
 
     def draw(b: int) -> int:
-        nonlocal left, take
+        nonlocal take
         if b == 1:
             return 0  # numpy draws nothing for a one-value range
         while True:
             try:
                 m = take() * b
             except StopIteration:
-                n = min(_REFILL, max(1, (left + 1) // 2))
-                left -= 2 * n
                 # little-endian halves of each raw output: low first, as next_uint32
-                take = iter(bitgen.random_raw(n).astype("<u8").view("<u4").tolist()).__next__
+                take = iter(bitgen.random_raw(_REFILL).astype("<u8").view("<u4").tolist()).__next__
                 continue
             low = m & 0xFFFFFFFF
             # Lemire: reject low < (2**32 - b) % b, which is below b
@@ -156,8 +151,7 @@ def plan_epoch_rs(assignment: BinAssignment, batch_size: int, seed: int) -> Batc
     """Random-bin epoch plan: uniform over non-exhausted bins at every step."""
     _validated(assignment, batch_size)
     total = assignment.total
-    # no bound exceeds total; a step reads at most two values unless rejected
-    draw = _bounded_draws(seed, total, 2 * total)
+    draw = _bounded_draws(seed, total)  # no bound exceeds total
     remaining = [list(ids) for ids in assignment.by_bin]
     nonempty = [i for i, bucket in enumerate(remaining) if bucket]  # ascending
     draws: list[str] = []

@@ -151,21 +151,17 @@ class PriorConfig:
 
 
 @dataclass(frozen=True)
-class BinningConfig:
-    """Everything needed to fit bins directly: prior, cap, smoothing, likelihood."""
+class BinningConfig(PriorConfig):
+    """Everything needed to fit bins directly: a PriorConfig (gamma, cap)
+    plus the smoothing beta and the likelihood."""
 
     gamma: float = 0.5
-    alpha: int | None = None
     beta: int = 1
     likelihood_kind: LikelihoodKind = LikelihoodKind.MULTINOMIAL
 
     def __post_init__(self):
-        PriorConfig(self.gamma, self.alpha)
+        super().__post_init__()
         check_integer("beta", self.beta, 0)
-
-    @property
-    def prior(self) -> PriorConfig:
-        return PriorConfig(self.gamma, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -829,7 +825,7 @@ def fit_partition_columns(counts: np.ndarray, cfg: BinningConfig) -> Partition:
     """Smooth the histogram of an int64 count column and fit the MAP
     partition directly (no gamma grid search)."""
     hist = smooth(count_histogram(counts), cfg.beta)
-    return optimal_partition(hist, cfg.prior, cfg.likelihood_kind)
+    return optimal_partition(hist, cfg, cfg.likelihood_kind)
 
 
 def partition_to_json_dict(partition: Partition, beta: int) -> dict:

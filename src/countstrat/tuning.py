@@ -105,16 +105,18 @@ def held_out_log_likelihood(
     freqs = np.bincount(record_counts(train)) + spec.beta
     tables = log_tables(int(freqs.sum()), len(freqs) - 1)
     ((_, blocks),) = optimal_blocks_per_gamma([freqs], spec.gammas, spec.likelihood_kind, tables)
-    return _held_out(freqs, record_counts(test), blocks, tables[0])
+    return _held_out(record_counts(test), blocks, tables[0])
 
 
-def _held_out(freqs: np.ndarray, test: np.ndarray, blocks, ln_tab: np.ndarray) -> tuple[float, ...]:
+def _held_out(test: np.ndarray, blocks, ln_tab: np.ndarray) -> tuple[float, ...]:
     """held_out_log_likelihood of an int64 test count column under each
-    gamma's (upper edges, masses) in ``blocks``, fit on the smoothed train
-    frequency row ``freqs`` over [0, C]; ``ln_tab`` is a log table from
-    log_tables, large enough for that row."""
-    log_n = ln_tab[freqs.sum()]  # ln_tab[k] is math.log(k), bit for bit
-    clamped = np.minimum(test, len(freqs) - 1)
+    gamma's (upper edges, masses) in ``blocks``, fit on one smoothed train
+    frequency row over [0, C]; every gamma's bins cover the row, so its
+    mass is the masses' sum and C the last upper edge. ``ln_tab`` is a log
+    table from log_tables, large enough for that row."""
+    his, masses = blocks[0]
+    log_n = ln_tab[masses.sum()]  # ln_tab[k] is math.log(k), bit for bit
+    clamped = np.minimum(test, his[-1])
     values = []
     for his, masses in blocks:
         widths = np.diff(his, prepend=-1)
@@ -159,7 +161,7 @@ def _search(counts: np.ndarray, spec: GridSpec):
             tests.append(counts[test])
     loglik = [()] * len(trains)
     for i, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
-        loglik[i] = _held_out(trains[i], tests[i], blocks, tables[0])
+        loglik[i] = _held_out(tests[i], blocks, tables[0])
     means: dict[tuple[int, int], float] = {}
     table = []
     for gi, gamma in enumerate(spec.gammas):

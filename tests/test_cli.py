@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -220,6 +222,17 @@ class TestLossCommand:
         assert round(float(row_in[-1]), 4) == 1.3863
         assert round(float(row_out[-1]), 4) == 15.0
         assert row_in[3:5] == ["40", "50"]
+
+    def test_ids_quoted_like_csv_writer(self, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text('id,count_true,count_pred\n"a,b",45,48\n"q""x",45,60\n"two\nlines",3,2.5\nplain,1,1\n')
+        out = tmp_path / "loss.csv"
+        rc = main(["loss", str(preds), str(self.make_partition_file(tmp_path)), "-o", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(read(out))))
+        assert [len(row) for row in rows] == [6] * 5
+        assert [row[0] for row in rows[1:]] == ["a,b", 'q"x', "two\nlines", "plain"]
+        assert read(out).splitlines()[-1].startswith("plain,1,1,")
 
     def test_empty_predictions_header_only(self, tmp_path):
         preds = tmp_path / "p.csv"

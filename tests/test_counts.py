@@ -125,6 +125,11 @@ class TestSmooth:
         with pytest.raises(ValidationError):
             smooth(CountHistogram(0, (1,)), -1)
 
+    @pytest.mark.parametrize("beta", [True, 2.0, 0.5])
+    def test_non_integer_beta_rejected(self, beta):
+        with pytest.raises(ValidationError, match="beta must be an integer"):
+            smooth(CountHistogram(0, (1,)), beta)
+
     def test_composition(self):
         rng = np.random.default_rng(1)
         for _ in range(10):

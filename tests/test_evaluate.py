@@ -16,9 +16,7 @@ from countstrat import (
     ValidationError,
     assign_bins,
     evaluate,
-    global_stats,
     parse_predictions,
-    per_bin_stats,
     pool,
     render_report,
 )
@@ -81,17 +79,17 @@ class TestPerBinStats:
     def test_two_point_bin(self):
         part = make_partition([(0, 9)])
         preds = [PredictionRecord("a", 4, 5.0), PredictionRecord("b", 4, 7.0)]
-        (s,) = per_bin_stats(preds, part)
+        (s,) = evaluate(preds, part).per_bin
         assert (s.n, s.mae, s.std) == (2, 2.0, 1.0)
 
     def test_single_record_bin_std_zero(self):
         part = make_partition([(0, 9)])
-        (s,) = per_bin_stats([PredictionRecord("a", 4, 6.5)], part)
+        (s,) = evaluate([PredictionRecord("a", 4, 6.5)], part).per_bin
         assert s.n == 1 and s.std == 0.0
 
     def test_empty_bin_flagged(self):
         part = make_partition([(0, 4), (5, 9)])
-        stats = per_bin_stats([PredictionRecord("a", 7, 7.0)], part)
+        stats = evaluate([PredictionRecord("a", 7, 7.0)], part).per_bin
         assert stats[0] == BinStats(Bin(0, 4), 0, None, None)
         assert stats[1].n == 1
 
@@ -101,7 +99,7 @@ class TestPerBinStats:
         ys = [int(y) for y in rng.integers(0, 70, size=40)]  # some clamped
         preds = [PredictionRecord(f"r{i}", y, y + 1.0) for i, y in enumerate(ys)]
         recs = [CountRecord(f"r{i}", y) for i, y in enumerate(ys)]
-        stats = per_bin_stats(preds, part)
+        stats = evaluate(preds, part).per_bin
         asg = assign_bins(recs, part)
         assert [s.n for s in stats] == [len(ids) for ids in asg.by_bin]
 
@@ -131,14 +129,20 @@ class TestPool:
             pool([BinStats(Bin(0, 4), 0, None, None)])
 
 
+def global_mae_std(preds):
+    """evaluate's global (MAE, std); truths above 9 clamp into the last bin."""
+    rep = evaluate(preds, make_partition([(0, 4), (5, 9)]))
+    return rep.global_mae, rep.global_std
+
+
 class TestGlobalStats:
     def test_two_errors(self):
         preds = [PredictionRecord("a", 4, 5.0), PredictionRecord("b", 4, 7.0)]
-        assert global_stats(preds) == (2.0, 1.0)
+        assert global_mae_std(preds) == (2.0, 1.0)
 
     def test_perfect_predictions(self):
         preds = [PredictionRecord("a", 4, 4.0), PredictionRecord("b", 9, 9.0)]
-        assert global_stats(preds) == (0.0, 0.0)
+        assert global_mae_std(preds) == (0.0, 0.0)
 
     def test_matches_two_pass_reference(self):
         rng = np.random.default_rng(7)
@@ -149,13 +153,13 @@ class TestGlobalStats:
                 for i in range(n)
             ]
             want = two_pass_mean_std([abs(p.y - p.y_hat) for p in preds])
-            got = global_stats(preds)
+            got = global_mae_std(preds)
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[1] == pytest.approx(want[1], abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            global_stats([])
+            evaluate([], make_partition([(0, 9)]))
 
 
 @st.composite

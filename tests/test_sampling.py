@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from countstrat import (
     plan_epoch_rr,
     plan_epoch_rs,
 )
+from countstrat import sampling
 from countstrat.sampling import _bounded_draws, plan_to_json_dict
 
 
@@ -227,26 +229,31 @@ bounds = st.one_of(
 )
 
 
-@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 8), seq=st.lists(bounds, min_size=1, max_size=80))
-def test_bounded_draws_match_integers(seed, count, seq):
-    # more draws than count + 1 values read, so the first refill runs out
-    assume(sum(b > 1 for b in seq) >= count + 2)
-    draw = _bounded_draws(seed, 2**32, count)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    assert [draw(b) for b in seq] == [int(rng.integers(b)) for b in seq]
+@given(
+    refill=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**64 - 1),
+    seq=st.lists(bounds, min_size=20, max_size=80),
+)
+def test_bounded_draws_match_integers(refill, seed, seq):
+    # more draws than one refill's 2 * refill values, so the first refill runs out
+    assume(sum(b > 1 for b in seq) > 2 * refill)
+    with mock.patch.object(sampling, "_REFILL", refill):
+        draw = _bounded_draws(seed, 2**32)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert [draw(b) for b in seq] == [int(rng.integers(b)) for b in seq]
 
 
 def test_bounded_draws_match_integers_past_full_refills():
     seq = np.random.Generator(np.random.PCG64(1)).choice([1, 3, 2**31 + 1, 2**32], size=5000).tolist()
-    draw = _bounded_draws(9, 2**32, 2 * len(seq))
+    draw = _bounded_draws(9, 2**32)
     rng = np.random.Generator(np.random.PCG64(9))
     assert [draw(b) for b in seq] == [int(rng.integers(b)) for b in seq]
 
 
 def test_bound_above_2_32_rejected():
-    _bounded_draws(0, 2**32, 0)
+    _bounded_draws(0, 2**32)
     with pytest.raises(ValidationError, match="2\\*\\*32"):
-        _bounded_draws(0, 2**32 + 1, 0)
+        _bounded_draws(0, 2**32 + 1)
     huge = types.SimpleNamespace(by_bin=(), total=2**32 + 1)
     with pytest.raises(ValidationError, match="2\\*\\*32"):
         plan_epoch_rs(huge, 32, 0)

@@ -745,6 +745,7 @@ class TestBruteForce:
 class TestBinningConfig:
     def test_defaults(self):
         cfg = BinningConfig()
+        assert isinstance(cfg, PriorConfig)
         assert cfg.gamma == 0.5 and cfg.alpha is None and cfg.beta == 1
         assert cfg.likelihood_kind is MULTI
 

@@ -32,7 +32,7 @@ def sample_skewness(values):
 def small_partition(records):
     hist = smooth(build_histogram(records), DEFAULT_SYNTH_BINNING.beta)
     return optimal_partition(
-        hist, DEFAULT_SYNTH_BINNING.prior, DEFAULT_SYNTH_BINNING.likelihood_kind
+        hist, DEFAULT_SYNTH_BINNING, DEFAULT_SYNTH_BINNING.likelihood_kind
     )
 
 
