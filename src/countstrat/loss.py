@@ -65,11 +65,8 @@ def bin_loss_subgradient(y: float, y_hat: float, bin_: Bin, lambda1: float = 1.0
 
 
 def routed_bin_loss(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: float = 1.0) -> tuple[float, Bin]:
-    """Locate y's bin (clamping counts above the range into the last bin)
-    and evaluate the loss there. Returns (loss, bin used)."""
-    idx, _ = locate_bin(bins, y)
-    b = bins[idx]
-    return interval_loss(y, y_hat, b.lo, b.hi, lambda1), b
+    """routed_bin_losses of one pair: (loss, bin used)."""
+    return routed_bin_losses([y], [y_hat], bins, lambda1)[0]
 
 
 def routed_bin_loss_subgradient(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: float = 1.0) -> float:
@@ -81,7 +78,9 @@ def routed_bin_loss_subgradient(y: float, y_hat: float, bins: tuple[Bin, ...], l
 def routed_bin_losses(
     ys: list[float], y_hats: list[float], bins: tuple[Bin, ...], lambda1: float = 1.0
 ) -> list[tuple[float, Bin]]:
-    """routed_bin_loss of every (y, y_hat) pair, the bins located at once."""
+    """Locate each ground truth's bin (clamping counts above the range into
+    the last bin), all at once, and evaluate the loss there. Returns one
+    (loss, bin used) per (y, y_hat) pair."""
     idx, _ = locate_bins(bins, ys)
     return [
         (interval_loss(y, y_hat, bins[k].lo, bins[k].hi, lambda1), bins[k])

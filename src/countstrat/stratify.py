@@ -43,18 +43,16 @@ build from memoized prefix keys (_PrefixKeys).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
-from .counts import MAX_COUNT, CountHistogram, check_integer, count_histogram, record_counts, smooth
+from .counts import MAX_COUNT, CountHistogram, check_integer, count_histogram, smooth
 from .errors import RangeError, ValidationError
 
 BRUTE_FORCE_MAX_CELLS = 20
@@ -196,22 +194,19 @@ class Partition:
 
 
 def locate_bin(bins: tuple[Bin, ...], count: float) -> tuple[int, bool]:
-    """Return (index of the first bin with hi >= count, clamped_above flag).
-
-    Counts above the partition range map to the last bin with the flag set;
-    a NaN count raises RangeError.
-    """
-    if count != count:
-        raise RangeError("count nan is not a number")
-    if count < bins[0].lo:
-        raise RangeError(f"count {count} below partition range start {bins[0].lo}")
-    idx = bisect.bisect_left(bins, count, key=attrgetter("hi"))
-    return min(idx, len(bins) - 1), idx == len(bins)
+    """locate_bins of one count: (bin index, clamped_above flag)."""
+    idx, clamped = locate_bins(bins, [count])
+    return int(idx[0]), bool(clamped[0])
 
 
 def locate_bins(bins: tuple[Bin, ...], counts) -> tuple[np.ndarray, np.ndarray]:
-    """locate_bin over a sequence of counts: (bin indices, clamped mask),
-    from one searchsorted over the bins' upper edges."""
+    """Return (bin indices, clamped mask) of a sequence of counts: each
+    count's index is that of the first bin with hi >= count, from one
+    searchsorted over the bins' upper edges.
+
+    Counts above the partition range map to the last bin with the mask set;
+    a NaN count or one below the range raises RangeError.
+    """
     counts = np.asarray(counts)
     if counts.dtype.kind == "f" and np.isnan(counts).any():  # integer columns hold no NaN
         raise RangeError("count nan is not a number")
@@ -814,11 +809,6 @@ def brute_force_partition(hist: CountHistogram, cfg: PriorConfig, kind: Likeliho
         key = lambda k: cells.exact_key(cands[k], m - 1, kind, cfg.gamma)
     pick = _pick(ranks, n_bins, key)
     return _scored(hist, cells.blocks(cands[pick])[0], rcfg, kind)
-
-
-def fit_partition(records, cfg: BinningConfig) -> Partition:
-    """fit_partition_columns of the records' counts."""
-    return fit_partition_columns(record_counts(records), cfg)
 
 
 def fit_partition_columns(counts: np.ndarray, cfg: BinningConfig) -> Partition:

@@ -7,7 +7,8 @@ plain shuffled minibatches with an absolute-error loss, and round-robin or
 random-bin balanced plans with the combined (model + bin) loss, then
 evaluates all three on one held-out split. The probe is deliberately tiny
 so runs take seconds and differences are attributable to the sampling and
-loss choices rather than model capacity.
+loss choices rather than model capacity. It all runs on columns: int64
+counts, float64 features, and index arrays (splits, plans) into them.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counts import MAX_COUNT, CountRecord
+from .counts import MAX_COUNT, check_integer
 from .errors import ValidationError
-from .evaluate import EvalReport, PredictionRecord, evaluate, report_json_dict
+from .evaluate import MAX_PREDICTION, EvalReport, evaluate_columns, report_json_dict
 from .loss import LossConfig, interval_loss, interval_loss_subgradient
-from .sampling import SamplingScheme, assign_bins, plan_epoch
-from .stratify import BinningConfig, Partition, fit_partition
-from .tuning import split_records
+from .sampling import SamplingScheme, assign_columns, plan_epoch
+from .stratify import BinningConfig, Partition, fit_partition_columns, locate_bins
+from .tuning import _index_split
 
 SCHEMES = ("none", "rr", "rs")
 
@@ -33,7 +34,7 @@ SCHEMES = ("none", "rr", "rs")
 # default grid search picks gamma 0.1 on all three; alpha=6 makes it 6.
 DEFAULT_SYNTH_BINNING = BinningConfig(gamma=0.1, alpha=6)
 
-# offset keeping per-epoch plan seeds disjoint across runs
+# offset keeping per-epoch plan seeds disjoint across runs, so it bounds epochs
 _EPOCH_SEED_STRIDE = 100003
 
 
@@ -50,8 +51,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValidationError("n_samples must be >= 1")
+        check_integer("n_samples", self.n_samples, 1)
+        check_integer("max_count", self.max_count, 1)
+        check_integer("seed", self.seed, 0)
         for name in ("log_mean", "log_sigma", "noise_spread", "noise_bias"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
@@ -72,8 +74,10 @@ class TrainerConfig:
     holdout_ratio: float = 0.25
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be >= 1")
+        check_integer("epochs", self.epochs, 1)
+        check_integer("batch_size", self.batch_size, 1)
+        if self.epochs > _EPOCH_SEED_STRIDE:
+            raise ValidationError(f"epochs must be <= {_EPOCH_SEED_STRIDE}, got {self.epochs}")
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 < self.holdout_ratio < 1.0:
@@ -89,7 +93,7 @@ class ToyFit:
     scale: float
     epoch_losses: tuple[float, ...]
 
-    def predict(self, z: float) -> float:
+    def predict(self, z):  # a feature, or elementwise over a feature array
         return self.weight * (z / self.scale) + self.offset
 
 
@@ -103,35 +107,32 @@ class ComparisonReport:
     win_counts: tuple[tuple[str, int], ...]  # seeds where rr/rs beat the baseline
 
 
-def generate_dataset(spec: SynthSpec) -> tuple[list[CountRecord], dict[str, float]]:
-    """Seeded dataset: capped, rounded log-normal counts and noisy features."""
+def generate_dataset(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded dataset: capped, rounded log-normal counts (int64) and their
+    noisy features (float64), one entry per sample."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     raw = rng.lognormal(mean=spec.log_mean, sigma=spec.log_sigma, size=spec.n_samples)
     # capped before the int cast, so an overflowing draw (inf) lands on the cap
     counts = np.rint(np.minimum(raw, spec.max_count)).astype(np.int64)
     eps = spec.noise_bias + spec.noise_spread * rng.standard_normal(spec.n_samples)
-    z = counts * (1.0 + eps)
-    records = [CountRecord(f"s{i:05d}", int(c)) for i, c in enumerate(counts)]
-    features = {rec.id: float(v) for rec, v in zip(records, z)}
-    return records, features
+    return counts, counts * (1.0 + eps)
 
 
-def _epoch_batches_shuffled(ids: list[str], batch_size: int, seed: int) -> list[tuple[str, ...]]:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(len(ids))
-    order = [ids[i] for i in perm]
-    return [tuple(order[i : i + batch_size]) for i in range(0, len(order), batch_size)]
+def _epoch_batches_shuffled(n: int, batch_size: int, seed: int) -> list[list[int]]:
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(n).tolist()
+    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def fit_toy_regressor(
-    train: list[CountRecord],
-    features: dict[str, float],
+    counts: np.ndarray,
+    z: np.ndarray,
     partition: Partition,
     cfg: TrainerConfig,
     scheme: str,
     seed: int,
 ) -> ToyFit:
-    """Subgradient-descent fit of the linear probe under one scheme.
+    """Subgradient-descent fit of the linear probe to training counts and
+    their features (z[i] is the feature of counts[i]) under one scheme.
 
     scheme "none" trains on seeded shuffled batches with the plain
     absolute-error loss and never consults the bin structure; "rr"/"rs" use
@@ -139,15 +140,18 @@ def fit_toy_regressor(
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    y = {r.id: float(r.count) for r in train}
-    zs = np.array([abs(features[r.id]) for r in train])
-    scale = max(float(zs.mean()), 1e-9)
-    u = {r.id: features[r.id] / scale for r in train}
-    ids = [r.id for r in train]
+    n = len(counts)
+    if len(z) != n:
+        raise ValidationError(f"need one feature per count, got {len(z)} features for {n} counts")
+    # plans, batches and the lists below hold positions into the columns
+    y = counts.astype(float).tolist()
+    scale = max(float(np.abs(z).mean()), 1e-9)
+    u = (z / scale).tolist()
     if scheme != "none":
-        assignment = assign_bins(train, partition)
+        assignment = assign_columns(range(n), counts, partition)
+        bounds = [(b.lo, b.hi) for b in partition.bins]
         # each sample's (clamped) bin, located once per fit
-        edges = {i: (b.lo, b.hi) for b, members in zip(partition.bins, assignment.by_bin) for i in members}
+        edges = [bounds[k] for k in locate_bins(partition.bins, counts)[0].tolist()]
     lam1, lam2 = cfg.loss.lambda1, cfg.loss.lambda2
 
     weight, offset = 0.0, 0.0
@@ -156,23 +160,23 @@ def fit_toy_regressor(
         lr = cfg.learning_rate / (1.0 + epoch)
         plan_seed = seed * _EPOCH_SEED_STRIDE + epoch
         if scheme == "none":
-            batches = _epoch_batches_shuffled(ids, cfg.batch_size, plan_seed)
+            batches = _epoch_batches_shuffled(n, cfg.batch_size, plan_seed)
         else:
             batches = plan_epoch(assignment, cfg.batch_size, plan_seed, SamplingScheme(scheme)).batches
         loss_sum = 0.0
         for batch in batches:
             g_w = 0.0
             g_c = 0.0
-            for sample_id in batch:
-                yi = y[sample_id]
-                ui = u[sample_id]
+            for i in batch:
+                yi = y[i]
+                ui = u[i]
                 pred = weight * ui + offset
                 err = pred - yi
                 sign = 0.0 if err == 0.0 else math.copysign(1.0, err)
                 loss = abs(err)
                 grad = sign
                 if scheme != "none":
-                    lo, hi = edges[sample_id]
+                    lo, hi = edges[i]
                     loss += lam2 * interval_loss(yi, pred, lo, hi, lam1)
                     grad += lam2 * interval_loss_subgradient(yi, pred, lo, hi, lam1)
                 loss_sum += loss
@@ -180,7 +184,7 @@ def fit_toy_regressor(
                 g_c += grad
             weight -= lr * g_w / len(batch)
             offset -= lr * g_c / len(batch)
-        epoch_losses.append(loss_sum / len(ids))
+        epoch_losses.append(loss_sum / n)
         if not (math.isfinite(weight) and math.isfinite(offset) and math.isfinite(epoch_losses[-1])):
             raise ValidationError(f"training diverged in epoch {epoch} under scheme {scheme!r}: weight, offset or loss is not finite")
     return ToyFit(weight, offset, scale, tuple(epoch_losses))
@@ -203,15 +207,17 @@ def run_comparison(
     pooled_std = {s: [] for s in SCHEMES}
     first_reports: dict[str, EvalReport] = {}
     for run_index, seed in enumerate(seeds):
-        records, features = generate_dataset(replace(spec, seed=seed))
-        train, test = split_records(records, trainer.holdout_ratio, seed)
-        partition = fit_partition(train, binning)
+        counts, z = generate_dataset(replace(spec, seed=seed))
+        train, test = _index_split(len(counts), trainer.holdout_ratio, seed)
+        train_counts, train_z = counts[train], z[train]
+        partition = fit_partition_columns(train_counts, binning)
         for scheme in SCHEMES:
-            fit = fit_toy_regressor(train, features, partition, trainer, scheme, seed)
-            preds = [
-                PredictionRecord(r.id, r.count, fit.predict(features[r.id])) for r in test
-            ]
-            report = evaluate(preds, partition)
+            fit = fit_toy_regressor(train_counts, train_z, partition, trainer, scheme, seed)
+            y_hat = fit.predict(z[test])
+            bad = y_hat[~(np.abs(y_hat) <= MAX_PREDICTION)]  # the eval reader's bound on count_pred
+            if bad.size:
+                raise ValidationError(f"prediction {float(bad[0])} under scheme {scheme!r} is not finite or exceeds {MAX_PREDICTION:g} in magnitude")
+            report = evaluate_columns(counts[test], y_hat, partition)
             pooled_std[scheme].append(report.pooled_std)
             if run_index == 0:
                 first_reports[scheme] = report

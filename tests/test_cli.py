@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from countstrat import BinningConfig, fit_partition, ingest_counts
+from countstrat import BinningConfig, build_histogram, ingest_counts, optimal_partition, smooth
 from countstrat import jsonfmt, stratify
 from countstrat.cli import main
 from countstrat.stratify import partition_to_json_dict
@@ -27,7 +28,8 @@ class TestBinCommand:
         rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5", "-o", str(out)])
         assert rc == 0
         records = ingest_counts(read(FIXTURES / "counts50.csv"))
-        part = fit_partition(records, BinningConfig(gamma=0.5))
+        cfg = BinningConfig(gamma=0.5)
+        part = optimal_partition(smooth(build_histogram(records), cfg.beta), cfg, cfg.likelihood_kind)
         assert part.alpha == part.max_count + 1  # smoothed support is every cell
         assert read(out) == jsonfmt.dumps(partition_to_json_dict(part, 1))
 
@@ -310,6 +312,7 @@ class TestSynthCommand:
             ("--learning-rate", "nan"),
             ("--learning-rate", "inf"),
             ("--learning-rate", "1e300"),
+            ("--learning-rate", "5e99"),  # a prediction past MAX_PREDICTION, before divergence
             ("--noise-bias", "nan"),
             ("--noise-spread", "nan"),
             ("--noise-spread", "inf"),
@@ -494,6 +497,24 @@ class TestGoldenOutputs:
         ])
         assert rc == 0
         assert out.read_bytes() == (FIXTURES / "golden_synth.json").read_bytes()
+
+    # sha256 of synth output written by the record-list trainer (ids, dicts,
+    # split_records, fit_partition, evaluate) at two non-default settings
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (("--likelihood", "poisson", "--alpha", "2"), "022805dcab49c225a8a42a5ea57c0e6aafa2aeff6a1143cbd03735bdd4d99bad"),
+            (
+                ("--noise-bias", "0.3", "--lambda2", "0", "--beta", "0", "--max-count", "50"),
+                "68ca4ada9a2fb19adf01ddbd813a19e0d56478d556da6d70321d87610ad240f1",
+            ),
+        ],
+    )
+    def test_synth_pinned_digests(self, flags, digest, tmp_path):
+        out = tmp_path / "synth.json"
+        rc = main(["synth", "--seeds", "2", "--n-samples", "240", "--epochs", "6", *flags, "-o", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestEntryPoint:

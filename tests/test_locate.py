@@ -1,6 +1,5 @@
-"""The array locate (one searchsorted) and its users agree with scalar
-locate_bin reference loops, including clamped counts, empty bins and
-one-bin partitions; locate_bin itself agrees with a linear scan."""
+"""The locate (one searchsorted) and its users agree with a linear-scan
+reference, including clamped counts, empty bins and one-bin partitions."""
 
 import math
 
@@ -21,7 +20,7 @@ from countstrat import (
     routed_bin_loss,
 )
 from countstrat.evaluate import _per_bin
-from countstrat.loss import routed_bin_losses
+from countstrat.loss import interval_loss, routed_bin_losses
 from countstrat.stratify import locate_bins
 
 
@@ -44,11 +43,28 @@ def cases(draw, fractional=False):
     return Partition(bins, 0.0, 0.5, LikelihoodKind.MULTINOMIAL), ys, y_hats
 
 
+def scan(bins, count):
+    """Reference locate: the first bin with count <= hi, else the last bin
+    flagged as clamped; None below the range."""
+    if count < bins[0].lo:
+        return None
+    return next(((k, False) for k, b in enumerate(bins) if count <= b.hi), (len(bins) - 1, True))
+
+
+def scanned_losses(ys, y_hats, bins, lambda1):
+    """(interval_loss, bin) of each pair at scan's bin."""
+    out = []
+    for y, y_hat in zip(ys, y_hats):
+        b = bins[scan(bins, y)[0]]
+        out.append((interval_loss(y, y_hat, b.lo, b.hi, lambda1), b))
+    return out
+
+
 @given(cases(), st.floats(0, 5))
-def test_array_locate_matches_scalar(case, lambda1):
+def test_array_locate_matches_scan(case, lambda1):
     part, ys, y_hats = case
     bins = part.bins
-    want = [locate_bin(bins, y) for y in ys]
+    want = [scan(bins, y) for y in ys]
 
     idx, clamped = locate_bins(bins, np.array(ys, dtype=np.int64))
     assert list(zip(idx.tolist(), clamped.tolist())) == want
@@ -72,17 +88,9 @@ def test_array_locate_matches_scalar(case, lambda1):
         for b, e in zip(bins, errors)
     ]
 
-    assert routed_bin_losses(ys, y_hats, bins, lambda1) == [
-        routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)
-    ]
-
-
-def scan(bins, count):
-    """Reference locate: the first bin with count <= hi, else the last bin
-    flagged as clamped; None below the range."""
-    if count < bins[0].lo:
-        return None
-    return next(((k, False) for k, b in enumerate(bins) if count <= b.hi), (len(bins) - 1, True))
+    losses = scanned_losses(ys, y_hats, bins, lambda1)
+    assert routed_bin_losses(ys, y_hats, bins, lambda1) == losses
+    assert [routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)] == losses
 
 
 @example((Bin(0, 10), Bin(11, 20)), 10.5)
@@ -105,12 +113,13 @@ def test_fractional_truths_route_alike(case, lambda1):
     # must not truncate them
     part, ys, y_hats = case
     bins = part.bins
-    want = [locate_bin(bins, y) for y in ys]
+    want = [scan(bins, y) for y in ys]
     idx, clamped = locate_bins(bins, ys)
     assert list(zip(idx.tolist(), clamped.tolist())) == want
-    assert routed_bin_losses(ys, y_hats, bins, lambda1) == [
-        routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)
-    ]
+    assert [locate_bin(bins, y) for y in ys] == want
+    losses = scanned_losses(ys, y_hats, bins, lambda1)
+    assert routed_bin_losses(ys, y_hats, bins, lambda1) == losses
+    assert [routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)] == losses
 
 
 def test_fractional_truth_routes_above_lower_bin():

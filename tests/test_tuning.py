@@ -14,7 +14,6 @@ from countstrat import (
     ValidationError,
     brute_force_partition,
     build_histogram,
-    fit_partition,
     held_out_log_likelihood,
     locate_bin,
     optimal_bins,
@@ -330,10 +329,11 @@ def test_capped_fit_makes_no_dp_call(monkeypatch):
         return real_dp(cells, gammas, kind)
 
     monkeypatch.setattr(stratify, "_dp", counting_dp)
-    recs = make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13)
-    assert fit_partition(recs, BinningConfig(gamma=0.5, alpha=3)).n_bins <= 3
+    hist = smooth(build_histogram(make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13)), 1)
+    kind = LikelihoodKind.MULTINOMIAL
+    assert optimal_partition(hist, BinningConfig(gamma=0.5, alpha=3), kind).n_bins <= 3
     assert passes == []
-    fit_partition(recs, BinningConfig(gamma=0.5))
+    optimal_partition(hist, BinningConfig(gamma=0.5), kind)
     assert passes == [1]
 
 
