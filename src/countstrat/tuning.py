@@ -68,16 +68,26 @@ class GammaSelection:
     index_sums: tuple[tuple[float, int], ...] = ()
 
 
-def _index_split(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Train and test index arrays into n records: a seeded shuffle (PCG64)
-    of range(n), then the last ceil(ratio*n) positions held out."""
+def _shuffle(n: int, seed: int) -> np.ndarray:
+    """range(n) in a seeded shuffle (PCG64)."""
+    return np.random.Generator(np.random.PCG64(seed)).permutation(n)
+
+
+def _split_shuffle(perm: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test parts of a shuffle: the last ceil(ratio*n) positions held out."""
+    n = len(perm)
     if not 0.0 < ratio < 1.0:
         raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
     n_test = math.ceil(ratio * n)
     if n_test >= n:
         raise ValidationError(f"ratio {ratio} leaves an empty train side for n={n}")
-    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     return perm[: n - n_test], perm[n - n_test :]
+
+
+def _index_split(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test index arrays into n records: a seeded shuffle (PCG64)
+    of range(n), then the last ceil(ratio*n) positions held out."""
+    return _split_shuffle(_shuffle(n, seed), ratio)
 
 
 def split_records(records: list[CountRecord], ratio: float, seed: int) -> tuple[list[CountRecord], list[CountRecord]]:
@@ -152,14 +162,17 @@ def _search(counts: np.ndarray, spec: GridSpec):
         raise ValidationError("records must be non-empty")
     c_max = int(counts.max())
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
-    # split i is (ratio i // n_seeds, seed i % n_seeds)
-    trains, tests = [], []
-    for ratio in spec.ratios:
-        for seed in range(spec.n_seeds):
-            train, test = _index_split(len(counts), ratio, seed)
-            trains.append(np.bincount(counts[train]) + spec.beta)
-            tests.append(counts[test])
-    loglik = [()] * len(trains)
+    # split i is (ratio i // n_seeds, seed i % n_seeds); one shuffle per seed serves every ratio
+    n_splits = len(spec.ratios) * spec.n_seeds
+    trains, tests = [None] * n_splits, [None] * n_splits
+    for seed in range(spec.n_seeds):
+        perm = _shuffle(len(counts), seed)
+        for ri, ratio in enumerate(spec.ratios):
+            train, test = _split_shuffle(perm, ratio)
+            i = ri * spec.n_seeds + seed
+            trains[i] = np.bincount(counts[train]) + spec.beta
+            tests[i] = counts[test]
+    loglik = [()] * n_splits
     for i, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
         loglik[i] = _held_out(tests[i], blocks, tables[0])
     means: dict[tuple[int, int], float] = {}

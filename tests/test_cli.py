@@ -65,6 +65,20 @@ class TestBinCommand:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--no-tune",), "--no-tune requires --gamma"),
+            (("--no-tune", "--gamma", "0.5", "--cv-seeds", "3"), "--cv-seeds is only honored"),
+            (("--alpha", "3"), "only honored together with --no-tune"),
+        ],
+    )
+    def test_usage_error_comes_before_file_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bin", "definitely_missing.csv", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_no_tune_alpha_caps_bins(self, capsys):
         rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.9", "--alpha", "2"])
         assert rc == 0
@@ -144,6 +158,12 @@ class TestPlanCommand:
                 "--scheme", "rr", "--batch-size", "0",
             ])
         assert exc.value.code == 2
+
+    def test_zero_batch_size_comes_before_file_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "missing.csv", "missing.json", "--scheme", "rr", "--batch-size", "0"])
+        assert exc.value.code == 2
+        assert "--batch-size must be >= 1" in capsys.readouterr().err
 
     def test_covers_every_id(self, tmp_path):
         out = tmp_path / "plan.json"
