@@ -77,10 +77,6 @@ def __getattr__(name: str):
     return value
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
-
-
 class _Package(types.ModuleType):
     """Keeps an export when a submodule of the same name is imported: the
     import system binds ``countstrat.evaluate`` the module here, and the
