@@ -9,18 +9,19 @@ run of any subcommand.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import jsonfmt
 from .counts import count_columns
 from .errors import ParseError, ValidationError
 from .evaluate import evaluate_columns, prediction_columns, render_report, report_json_dict
-from .loss import LossConfig, routed_bin_losses
+from .loss import LossConfig, interval_losses, routed_edges
 from .sampling import SamplingScheme, assign_columns, plan_epoch, plan_to_json_dict
 from .stratify import (
     BinningConfig,
@@ -107,17 +108,17 @@ def _cmd_loss(args) -> int:
     ids, ys, y_hats = prediction_columns(_read_text(args.preds_csv))
     partition = partition_from_json_dict(jsonfmt.loads(_read_text(args.partition_json)))
     lines = ["id,y,y_hat,bin_lo,bin_hi,bin_loss"]
-    ys, y_hats = ys.tolist(), y_hats.tolist()
-    rows = routed_bin_losses(ys, y_hats, partition.bins, cfg.lambda1)
-    losses = [cfg.lambda2 * value for value, _ in rows]
-    if not all(map(math.isfinite, losses)):
+    _, los, his = routed_edges(partition.bins, ys)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        losses = cfg.lambda2 * interval_losses(ys, y_hats, los, his, cfg.lambda1)
+    if not np.isfinite(losses).all():
         raise ValidationError("a bin loss times --lambda2 exceeds the largest float; lower --lambda2 or --lambda1")
     if _CSV_QUOTED.search("".join(ids)):  # one check, so plain ids cost nothing
         # quoted and with doubled quotes, as csv.writer's QUOTE_MINIMAL writes them
         ids = ['"%s"' % i.replace('"', '""') if _CSV_QUOTED.search(i) else i for i in ids]
     # '%.17g' is format_float once the value is finite; the reader bounds every prediction
-    for sample_id, y, y_hat, (_, b), loss in zip(ids, ys, y_hats, rows, losses):
-        lines.append("%s,%s,%.17g,%s,%s,%.17g" % (sample_id, y, y_hat, b.lo, b.hi, loss))
+    columns = (ys.tolist(), y_hats.tolist(), los.tolist(), his.tolist(), losses.tolist())
+    lines += map("%s,%s,%.17g,%s,%s,%.17g".__mod__, zip(ids, *columns))
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

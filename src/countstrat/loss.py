@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .stratify import Bin, locate_bin, locate_bins
 
@@ -24,23 +26,46 @@ class LossConfig:
             raise ValidationError("lambda1 and lambda2 must be finite and >= 0")
 
 
+def interval_losses(ys, y_hats, los, his, lambda1: float) -> np.ndarray:
+    """The bin loss of each ground truth ys[i] routed to the bin [los[i],
+    his[i]], unchecked, as float64 arrays.
+
+    Every operation is the scalar one applied elementwise, so each value is
+    what Python floats give: |y - y_hat| off the bin, lambda1 * log1p of it
+    inside (the bin's edges included). The in-bin log1p is math.log1p per
+    element, since numpy's differs from it in the last bit on some inputs.
+    Overflow gives inf silently, as with Python floats.
+    """
+    ys, y_hats = np.asarray(ys, dtype=float), np.asarray(y_hats, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.abs(ys - y_hats)
+        inside = (los <= y_hats) & (y_hats <= his)
+        errs = out[inside].tolist()
+        out[inside] = lambda1 * np.fromiter(map(math.log1p, errs), float, len(errs))
+    return out
+
+
+def interval_loss_subgradients(ys, y_hats, los, his, lambda1: float) -> np.ndarray:
+    """d(interval_losses)/d(y_hats) elementwise: 0 where y_hat == y, the
+    inside branch lambda1 * sign / (1 + |y - y_hat|) on the bin and its
+    edges, and the sign (-1 when y_hat is NaN) off it."""
+    ys, y_hats = np.asarray(ys, dtype=float), np.asarray(y_hats, dtype=float)
+    sign = np.where(y_hats > ys, 1.0, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = (los <= y_hats) & (y_hats <= his)
+        out = np.where(inside, (lambda1 * sign) / (1.0 + np.abs(ys - y_hats)), sign)
+    out[y_hats == ys] = 0.0
+    return out
+
+
 def interval_loss(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
-    """The bin loss for a ground truth routed to the bin [lo, hi], unchecked."""
-    err = abs(y - y_hat)
-    if lo <= y_hat <= hi:
-        return lambda1 * math.log1p(err)
-    return err
+    """interval_losses of one ground truth."""
+    return interval_losses([y], [y_hat], lo, hi, lambda1).item()
 
 
 def interval_loss_subgradient(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
-    """d(interval_loss)/d(y_hat), as bin_loss_subgradient."""
-    if y_hat == y:
-        return 0.0
-    sign = 1.0 if y_hat > y else -1.0
-    # bin edges take the inside branch, matching the loss itself
-    if lo <= y_hat <= hi:
-        return lambda1 * sign / (1.0 + abs(y - y_hat))
-    return sign
+    """interval_loss_subgradients of one ground truth."""
+    return interval_loss_subgradients([y], [y_hat], lo, hi, lambda1).item()
 
 
 def bin_loss(y: float, y_hat: float, bin_: Bin, lambda1: float = 1.0) -> float:
@@ -75,14 +100,20 @@ def routed_bin_loss_subgradient(y: float, y_hat: float, bins: tuple[Bin, ...], l
     return interval_loss_subgradient(y, y_hat, b.lo, b.hi, lambda1)
 
 
+def routed_edges(bins: tuple[Bin, ...], ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each ground truth's bin index (counts above the range clamp into the
+    last bin) and that bin's lower and upper edges, as int64 arrays."""
+    idx, _ = locate_bins(bins, ys)
+    los, his = np.array([(b.lo, b.hi) for b in bins], dtype=np.int64).T
+    return idx, los[idx], his[idx]
+
+
 def routed_bin_losses(
     ys: list[float], y_hats: list[float], bins: tuple[Bin, ...], lambda1: float = 1.0
 ) -> list[tuple[float, Bin]]:
     """Locate each ground truth's bin (clamping counts above the range into
     the last bin), all at once, and evaluate the loss there. Returns one
     (loss, bin used) per (y, y_hat) pair."""
-    idx, _ = locate_bins(bins, ys)
-    return [
-        (interval_loss(y, y_hat, bins[k].lo, bins[k].hi, lambda1), bins[k])
-        for y, y_hat, k in zip(ys, y_hats, idx.tolist())
-    ]
+    idx, los, his = routed_edges(bins, ys)
+    losses = interval_losses(ys, y_hats, los, his, lambda1)
+    return list(zip(losses.tolist(), [bins[k] for k in idx.tolist()]))

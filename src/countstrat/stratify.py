@@ -629,12 +629,15 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
     cells r0..r1-1 against every start 0..r1-1 at once (-inf where the start
     is past the cell), and then each row b is one add of row b - 1 and one
     argmax per block: row b - 1 of the block is final when row b reads it.
-    The float maximum is stored as the next best, as in _dp. _pick then
-    picks a row under the prior.
+    Row 1 needs no argmax, since its one finite candidate is the block from
+    cell 0, and row alpha is scored at the last cell only, the one cell
+    that the final pick and the backtrack read. The float maximum is stored
+    as the next best, as in _dp. _pick then picks a row under the prior.
 
     The scores are _dp's bit for bit: each start's left-to-right cell_lg sum
-    is carried across blocks and continued by a cumsum along the cell axis
-    (zeros before a start's first cell, since 0.0 + x == x), and ties follow
+    is carried across blocks and continued one cell row at a time (zeros
+    before a start's first cell, since 0.0 + x == x; row by row, as numpy's
+    cumsum along the first axis is several times slower), and ties follow
     _pick's rule: every finite candidate of row b has b - 1 bins before its
     block, so a float tie goes to the lowest start (argmax's first index),
     and a histogram small enough for exact keys re-ranks every near set of
@@ -664,7 +667,9 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
         lg[0, r0:] = 0.0
         lg[1:] = cell_lg[r0:r1, None]
         np.copyto(lg[1:, r0:], 0.0, where=past[:n, :n])
-        acc = np.cumsum(lg, axis=0, out=lg)[1:]
+        for i in range(1, n + 1):
+            np.add(lg[i - 1], lg[i], out=lg[i])
+        acc = lg[1:]
         # widths and masses clamped past the cell (only starts from r0 on
         # can be), so every gather is finite before the -inf
         np.subtract(edges[r0 + 1 : r1 + 1, None], edges[:r1], out=iv)
@@ -684,16 +689,23 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
             sv -= acc
         np.copyto(sv[:, r0:], -np.inf, where=past[:n, :n])
         lg[0] = acc[-1]
-        for b in range(1, min(alpha, r1) + 1):
-            cand = np.add(sv, best[b - 1, :r1], out=fv)
+        # row 1's only finite candidate is the block from cell 0 (last stays 0)
+        best[1, r0 + 1 : r1 + 1] = sv[:, 0] + best[0, 0]
+        # row alpha is read only at the last cell, by the final pick and the backtrack
+        for b in range(2, min(alpha, r1) + 1):
+            if b == alpha and r1 < m:
+                break
+            rows = slice(n - 1, n) if b == alpha else slice(0, n)
+            cand = np.add(sv[rows], best[b - 1, :r1], out=fv[rows])
             picks = cand.argmax(axis=1)
-            top = best[b, r0 + 1 : r1 + 1] = cand[cols[:n], picks]
+            top = best[b, r0 + 1 : r1 + 1][rows] = cand[cols[: len(cand)], picks]
             if keys is not None:
                 near = (cand >= (top - _TIE_REL_WINDOW * np.maximum(1.0, np.abs(top)))[:, None]).sum(axis=1)
                 for i in np.flatnonzero((near > 1) & (top > -np.inf)).tolist():
-                    key = lambda j, b=b, r=r0 + i: keys.candidate(b, j, r)
-                    picks[i] = _pick(cand[i, : r0 + i + 1], np.full(r0 + i + 1, b - 1), key)
-            last[b, r0:r1] = picks
+                    r = r0 + rows.start + i
+                    key = lambda j, b=b, r=r: keys.candidate(b, j, r)
+                    picks[i] = _pick(cand[i, : r + 1], np.full(r + 1, b - 1), key)
+            last[b, r0:r1][rows] = picks
     n_bins = np.arange(1, alpha + 1)
     key = None
     if keys is not None:

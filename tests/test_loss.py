@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from countstrat import (
     Bin,
@@ -13,6 +15,8 @@ from countstrat import (
     routed_bin_loss,
     routed_bin_loss_subgradient,
 )
+from countstrat.loss import interval_loss_subgradients, interval_losses
+from scalar_reference import scalar_interval_loss, scalar_interval_loss_subgradient
 
 REF_BIN = Bin(40, 50)  # ground truth 45 sits mid-bin
 
@@ -129,3 +133,44 @@ class TestRoutedVariants:
     def test_subgradient_route(self):
         got = routed_bin_loss_subgradient(5, 7, self.BINS, 1.0)
         assert got == pytest.approx(1 / 3, abs=1e-12)
+
+
+SPECIAL = [0.0, -0.0, 1.0, 40.0, 50.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+class TestArrayForms:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0, 100) | st.sampled_from(SPECIAL),
+                st.floats(-1e3, 1e3) | st.sampled_from(SPECIAL),
+                st.integers(0, 60),
+                st.integers(0, 60),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 1e308]),
+    )
+    def test_match_the_scalar_formulas_bit_for_bit(self, rows, lambda1):
+        # also: no RuntimeWarning (overflow, inf - inf) escapes, as with Python floats
+        ys, y_hats, los, his = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
+        los, his = np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
+        got = interval_losses(ys, y_hats, los, his, lambda1).tolist()
+        grads = interval_loss_subgradients(ys, y_hats, los, his, lambda1).tolist()
+        for (y, y_hat, lo, hi), value, grad in zip(rows, got, grads):
+            assert value.hex() == float(scalar_interval_loss(y, y_hat, lo, hi, lambda1)).hex()
+            assert grad.hex() == float(scalar_interval_loss_subgradient(y, y_hat, lo, hi, lambda1)).hex()
+
+    def test_in_bin_log_is_math_log1p(self):
+        # numpy's log1p differs from math.log1p in the last bit on some of these
+        y_hats = np.random.default_rng(0).uniform(0.0, 100.0, 5000)
+        got = interval_losses(np.zeros(5000), y_hats, 0, 100, 1.0)
+        assert got.tolist() == [math.log1p(v) for v in y_hats.tolist()]
+
+    def test_shapes_follow_the_inputs(self):
+        ys = np.array([[45.0, 45.0], [10.0, 3.0]])
+        y_hats = np.array([[48.0, 60.0], [10.0, 2.0]])
+        got = interval_losses(ys, y_hats, 40, 50, 1.0)
+        assert got.shape == (2, 2) and got.tolist() == [[math.log1p(3.0), 15.0], [0.0, 1.0]]
+        grads = interval_loss_subgradients(ys, y_hats, 40, 50, 1.0)
+        assert grads.tolist() == [[0.25, 1.0], [0.0, -1.0]]

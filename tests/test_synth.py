@@ -2,9 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import countstrat.synth as synth_mod
 from countstrat import (
+    BinningConfig,
+    LikelihoodKind,
+    LossConfig,
     SynthSpec,
     TrainerConfig,
     ValidationError,
@@ -13,9 +18,10 @@ from countstrat import (
     run_comparison,
 )
 from countstrat.counts import count_histogram, smooth
-from countstrat.stratify import optimal_partition
+from countstrat.stratify import fit_partition_columns, optimal_partition
 from countstrat.synth import _EPOCH_SEED_STRIDE, DEFAULT_SYNTH_BINNING, comparison_json_dict
 from countstrat.tuning import _index_split
+from scalar_reference import reference_fit
 
 SMALL_SPEC = SynthSpec(n_samples=160, max_count=400)
 SMALL_TRAINER = TrainerConfig(epochs=4, batch_size=16)
@@ -42,6 +48,11 @@ def split_columns(spec, ratio=0.25, seed=0):
     counts, z = generate_dataset(spec)
     train, test = _index_split(len(counts), ratio, seed)
     return counts[train], z[train], counts[test], z[test]
+
+
+def fit_bits(fit):
+    """A fit's numbers as their exact bits (float.hex tells -0.0 from 0.0)."""
+    return (fit.weight.hex(), fit.offset.hex(), fit.scale.hex(), tuple(x.hex() for x in fit.epoch_losses))
 
 
 class TestGenerateDataset:
@@ -149,15 +160,15 @@ class TestToyRegressor:
         def boom(*args, **kwargs):
             raise AssertionError("baseline consulted the bin loss")
 
-        original = (synth_mod.interval_loss, synth_mod.interval_loss_subgradient)
-        synth_mod.interval_loss = boom
-        synth_mod.interval_loss_subgradient = boom
+        original = (synth_mod.interval_losses, synth_mod.interval_loss_subgradients)
+        synth_mod.interval_losses = boom
+        synth_mod.interval_loss_subgradients = boom
         try:
             fit_toy_regressor(counts, z, partition, SMALL_TRAINER, "none", 0)
             with pytest.raises(AssertionError, match="consulted"):
                 fit_toy_regressor(counts, z, partition, SMALL_TRAINER, "rr", 0)
         finally:
-            synth_mod.interval_loss, synth_mod.interval_loss_subgradient = original
+            synth_mod.interval_losses, synth_mod.interval_loss_subgradients = original
 
     def test_noise_free_loss_monotone_all_schemes(self):
         spec = replace(SynthSpec(), noise_spread=0.0, noise_bias=0.0)
@@ -200,6 +211,54 @@ class TestToyRegressor:
                 fit_toy_regressor(counts, z, part, trainer, scheme, seed=0)
 
 
+class TestLockstep:
+    @settings(max_examples=60)
+    @given(
+        n_samples=st.integers(8, 120),
+        max_count=st.sampled_from([30, 200, 2000]),
+        seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True),
+        epochs=st.integers(1, 4),
+        batch_size=st.integers(1, 40),
+        learning_rate=st.sampled_from([0.05, 0.5, 4.0, 1e150, 1e308]),
+        lambda1=st.sampled_from([0.0, 0.7, 1.0, 3.0]),
+        lambda2=st.sampled_from([0.0, 0.25, 1.0]),
+        kind=st.sampled_from(LikelihoodKind),
+        alpha=st.sampled_from([None, 1, 2, 6]),
+    )
+    def test_matches_the_scalar_trainer(
+        self, n_samples, max_count, seeds, epochs, batch_size, learning_rate, lambda1, lambda2, kind, alpha
+    ):
+        cfg = TrainerConfig(epochs, learning_rate, batch_size, LossConfig(lambda1, lambda2))
+        binning = BinningConfig(gamma=0.3, alpha=alpha, likelihood_kind=kind)
+        jobs = []
+        for seed in seeds:
+            counts, z, _, _ = split_columns(SynthSpec(n_samples=n_samples, max_count=max_count, seed=seed), seed=seed)
+            partition = fit_partition_columns(counts, binning)
+            jobs += [synth_mod._Job(counts, z, partition, scheme, seed) for scheme in synth_mod.SCHEMES]
+        fits, failed = synth_mod._train(jobs, cfg)
+        for job, fit, epoch in zip(jobs, fits, failed):
+            try:
+                want = reference_fit(*job[:3], cfg, *job[3:])
+            except ValidationError as exc:
+                assert epoch is not None and f"diverged in epoch {epoch} " in str(exc)
+            else:
+                assert epoch is None and fit_bits(fit) == fit_bits(want)
+
+    def test_fit_toy_regressor_is_the_trainer_on_one_job(self):
+        counts, z, _, _ = split_columns(SMALL_SPEC)
+        partition = small_partition(counts)
+        for scheme in synth_mod.SCHEMES:
+            want = reference_fit(counts, z, partition, SMALL_TRAINER, scheme, 3)
+            assert fit_bits(fit_toy_regressor(counts, z, partition, SMALL_TRAINER, scheme, 3)) == fit_bits(want)
+
+    def test_jobs_of_two_sizes_rejected(self):
+        counts, z, _, _ = split_columns(SMALL_SPEC)
+        partition = small_partition(counts)
+        jobs = [synth_mod._Job(counts, z, partition, "none", 0), synth_mod._Job(counts[1:], z[1:], partition, "rr", 0)]
+        with pytest.raises(ValidationError, match="one size"):
+            synth_mod._train(jobs, SMALL_TRAINER)
+
+
 class TestRunComparison:
     def test_report_structure_and_determinism(self):
         seeds = (0, 1)
@@ -218,6 +277,50 @@ class TestRunComparison:
         trainer = TrainerConfig(epochs=2, learning_rate=5e99)
         with pytest.raises(ValidationError, match=r"prediction 1\.00\d*e\+100 under scheme 'rr' is not finite or exceeds 1e\+100"):
             run_comparison(spec, DEFAULT_SYNTH_BINNING, trainer, (0,))
+
+    def test_one_seed_per_chunk_changes_nothing(self, monkeypatch):
+        seeds = (0, 1, 2)
+        want = run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, seeds)
+        chunks = []
+        original = synth_mod._train
+
+        def spy(jobs, cfg):
+            chunks.append(sorted({job.seed for job in jobs}))
+            return original(jobs, cfg)
+
+        monkeypatch.setattr(synth_mod, "_train", spy)
+        monkeypatch.setattr(synth_mod, "_MAX_TRAIN_ENTRIES", len(synth_mod.SCHEMES) * SMALL_SPEC.n_samples)
+        assert run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, seeds) == want
+        assert chunks == [[0], [1], [2]]
+
+    def test_defaults_train_in_one_chunk(self):
+        n_train = len(_index_split(SynthSpec().n_samples, TrainerConfig().holdout_ratio, 0)[0])
+        assert len(synth_mod.SCHEMES) * 10 * n_train == 18_000
+        assert len(synth_mod.SCHEMES) * 10 * SynthSpec().n_samples <= synth_mod._MAX_TRAIN_ENTRIES
+
+    def test_every_fit_diverging_raises_the_first(self):
+        trainer = replace(SMALL_TRAINER, learning_rate=1e308)
+        with pytest.raises(ValidationError, match="training diverged in epoch 0 under scheme 'none'"):
+            run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, trainer, (0, 1))
+
+    def test_a_later_seeds_partition_error_comes_after_earlier_errors(self, monkeypatch):
+        original = synth_mod.fit_partition_columns
+        calls = []
+
+        def fail_second(counts, cfg):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise ValidationError("partition of the second seed")
+            return original(counts, cfg)
+
+        monkeypatch.setattr(synth_mod, "fit_partition_columns", fail_second)
+        with pytest.raises(ValidationError, match="second seed"):
+            run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, (0, 1, 2))
+        assert len(calls) == 2  # the third seed is never drawn
+        calls.clear()
+        trainer = replace(SMALL_TRAINER, learning_rate=1e308)
+        with pytest.raises(ValidationError, match="training diverged in epoch 0 under scheme 'none'"):
+            run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, trainer, (0, 1, 2))
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValidationError):
