@@ -99,12 +99,6 @@ def _prediction_rows(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, np.array(ys, dtype=np.int64), np.array(y_hats, dtype=np.float64)
 
 
-def _columns(preds: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The records' ground truths (int64) and predictions (float64)."""
-    n = len(preds)
-    return np.fromiter((r.y for r in preds), np.int64, n), np.fromiter((r.y_hat for r in preds), float, n)
-
-
 def _per_bin(ys: np.ndarray, errs: np.ndarray, partition: Partition) -> list[BinStats]:
     """Group absolute errors by the ground truth's bin (clamping above the
     range into the last bin) and report n/MAE/population std per bin."""
@@ -136,8 +130,9 @@ def pool(stats: list[BinStats]) -> tuple[float, float]:
 
 
 def evaluate(preds: list[PredictionRecord], partition: Partition) -> EvalReport:
-    """evaluate_columns of the records' truths and predictions."""
-    return evaluate_columns(*_columns(preds), partition)
+    """evaluate_columns of the records' truths (int64) and predictions (float64)."""
+    ys = np.fromiter((r.y for r in preds), np.int64, len(preds))
+    return evaluate_columns(ys, np.fromiter((r.y_hat for r in preds), float, len(preds)), partition)
 
 
 def evaluate_columns(ys: np.ndarray, y_hats: np.ndarray, partition: Partition) -> EvalReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .errors import ParseError
 
@@ -78,3 +79,7 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError:  # the only other one: an integer literal over Python's digit limit
+        raise ParseError(f"integer literal over {sys.get_int_max_str_digits()} digits") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .stratify import Bin, locate_bin, locate_bins
+from .stratify import Bin, locate_bins
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,11 @@ def interval_loss_subgradients(ys, y_hats, los, his, lambda1: float) -> np.ndarr
     return out
 
 
-def interval_loss(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
-    """interval_losses of one ground truth."""
-    return interval_losses([y], [y_hat], lo, hi, lambda1).item()
-
-
-def interval_loss_subgradient(y: float, y_hat: float, lo: float, hi: float, lambda1: float) -> float:
-    """interval_loss_subgradients of one ground truth."""
-    return interval_loss_subgradients([y], [y_hat], lo, hi, lambda1).item()
-
-
 def bin_loss(y: float, y_hat: float, bin_: Bin, lambda1: float = 1.0) -> float:
     """Piecewise penalty for a ground truth y known to lie in bin_."""
     if not bin_.contains(y):
         raise ValidationError(f"ground truth {y} outside its bin [{bin_.lo}, {bin_.hi}]")
-    return interval_loss(y, y_hat, bin_.lo, bin_.hi, lambda1)
+    return interval_losses([y], [y_hat], bin_.lo, bin_.hi, lambda1).item()
 
 
 def combined_loss(model_loss: float, y: float, y_hat: float, bin_: Bin, cfg: LossConfig) -> float:
@@ -86,18 +76,20 @@ def bin_loss_subgradient(y: float, y_hat: float, bin_: Bin, lambda1: float = 1.0
     """d(bin_loss)/d(y_hat); 0 at y_hat == y, inside-branch value on bin edges."""
     if not bin_.contains(y):
         raise ValidationError(f"ground truth {y} outside its bin [{bin_.lo}, {bin_.hi}]")
-    return interval_loss_subgradient(y, y_hat, bin_.lo, bin_.hi, lambda1)
+    return interval_loss_subgradients([y], [y_hat], bin_.lo, bin_.hi, lambda1).item()
 
 
 def routed_bin_loss(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: float = 1.0) -> tuple[float, Bin]:
-    """routed_bin_losses of one pair: (loss, bin used)."""
-    return routed_bin_losses([y], [y_hat], bins, lambda1)[0]
+    """Locate the ground truth's bin (a count above the range clamps into
+    the last bin) and evaluate the loss there: (loss, bin used)."""
+    idx, los, his = routed_edges(bins, [y])
+    return interval_losses([y], [y_hat], los, his, lambda1).item(), bins[idx.item()]
 
 
 def routed_bin_loss_subgradient(y: float, y_hat: float, bins: tuple[Bin, ...], lambda1: float = 1.0) -> float:
-    idx, _ = locate_bin(bins, y)
-    b = bins[idx]
-    return interval_loss_subgradient(y, y_hat, b.lo, b.hi, lambda1)
+    """bin_loss_subgradient at the bin routed_bin_loss uses."""
+    _, los, his = routed_edges(bins, [y])
+    return interval_loss_subgradients([y], [y_hat], los, his, lambda1).item()
 
 
 def routed_edges(bins: tuple[Bin, ...], ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,14 +98,3 @@ def routed_edges(bins: tuple[Bin, ...], ys) -> tuple[np.ndarray, np.ndarray, np.
     idx, _ = locate_bins(bins, ys)
     los, his = np.array([(b.lo, b.hi) for b in bins], dtype=np.int64).T
     return idx, los[idx], his[idx]
-
-
-def routed_bin_losses(
-    ys: list[float], y_hats: list[float], bins: tuple[Bin, ...], lambda1: float = 1.0
-) -> list[tuple[float, Bin]]:
-    """Locate each ground truth's bin (clamping counts above the range into
-    the last bin), all at once, and evaluate the loss there. Returns one
-    (loss, bin used) per (y, y_hat) pair."""
-    idx, los, his = routed_edges(bins, ys)
-    losses = interval_losses(ys, y_hats, los, his, lambda1)
-    return list(zip(losses.tolist(), [bins[k] for k in idx.tolist()]))

@@ -117,13 +117,19 @@ class ComparisonReport:
 
 def generate_dataset(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     """Seeded dataset: capped, rounded log-normal counts (int64) and their
-    noisy features (float64), one entry per sample."""
+    noisy features (float64), one entry per sample. Noise settings that make
+    a feature, or the features' mean magnitude (the probe's scale),
+    overflow are rejected."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     raw = rng.lognormal(mean=spec.log_mean, sigma=spec.log_sigma, size=spec.n_samples)
     # capped before the int cast, so an overflowing draw (inf) lands on the cap
     counts = np.rint(np.minimum(raw, spec.max_count)).astype(np.int64)
-    eps = spec.noise_bias + spec.noise_spread * rng.standard_normal(spec.n_samples)
-    return counts, counts * (1.0 + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = spec.noise_bias + spec.noise_spread * rng.standard_normal(spec.n_samples)
+        z = counts * (1.0 + eps)
+        if not (np.isfinite(z).all() and math.isfinite(np.abs(z).mean())):
+            raise ValidationError(f"noise_spread {spec.noise_spread} and noise_bias {spec.noise_bias} make the features or their mean magnitude overflow")
+    return counts, z
 
 
 def _epoch_batches_shuffled(n: int, batch_size: int, seed: int) -> list[list[int]]:

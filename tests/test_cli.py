@@ -348,6 +348,22 @@ class TestSynthCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--noise-spread", "1e308"),
+            ("--noise-bias", "1e308"),
+            ("--max-count", "1", "--noise-bias", "1e306"),  # finite features, an overflowing mean magnitude
+        ],
+    )
+    def test_overflowing_features_fail(self, flags, capsys):
+        # rejected before any training, without a RuntimeWarning
+        rc = main(["synth", "--seeds", "1", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: noise_spread") and captured.err.count("\n") == 1 and captured.out == ""
+        assert "make the features or their mean magnitude overflow" in captured.err
+
     def test_overflowing_log_mean_caps_counts(self, tmp_path):
         # exp(800) overflows to inf; every count lands on --max-count
         out = tmp_path / "s.json"
@@ -487,6 +503,24 @@ class TestBadInputFiles:
             "eval": ["eval", str(FIXTURES / "preds50.csv"), str(part)],
         }[command]
         self.one_error_line(argv, capsys, f"bad partition document: {message}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, "JSON nested too deeply", id="nested-deep"),
+            pytest.param('{"alpha": ' + "9" * 5000 + "}", "integer literal over 4300 digits", id="int-over-digit-limit"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["plan", "loss", "eval"])
+    def test_unloadable_partition_document_fails(self, command, text, message, tmp_path, capsys):
+        part = tmp_path / "part.json"
+        part.write_text(text)
+        argv = {
+            "plan": ["plan", str(FIXTURES / "counts50.csv"), str(part), "--scheme", "rr", "--batch-size", "4"],
+            "loss": ["loss", str(FIXTURES / "preds50.csv"), str(part)],
+            "eval": ["eval", str(FIXTURES / "preds50.csv"), str(part)],
+        }[command]
+        self.one_error_line(argv, capsys, f"error: {message}")
 
 
 class TestGoldenOutputs:

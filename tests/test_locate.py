@@ -20,8 +20,9 @@ from countstrat import (
     routed_bin_loss,
 )
 from countstrat.evaluate import _per_bin
-from countstrat.loss import interval_loss, routed_bin_losses
+from countstrat.loss import interval_losses, routed_edges
 from countstrat.stratify import locate_bins
+from scalar_reference import scalar_interval_loss
 
 
 @st.composite
@@ -52,12 +53,19 @@ def scan(bins, count):
 
 
 def scanned_losses(ys, y_hats, bins, lambda1):
-    """(interval_loss, bin) of each pair at scan's bin."""
+    """(scalar_interval_loss, bin) of each pair at scan's bin."""
     out = []
     for y, y_hat in zip(ys, y_hats):
         b = bins[scan(bins, y)[0]]
-        out.append((interval_loss(y, y_hat, b.lo, b.hi, lambda1), b))
+        out.append((scalar_interval_loss(y, y_hat, b.lo, b.hi, lambda1), b))
     return out
+
+
+def array_routed_losses(ys, y_hats, bins, lambda1):
+    """(loss, bin) of each pair from routed_edges and interval_losses."""
+    idx, los, his = routed_edges(bins, ys)
+    losses = interval_losses(ys, y_hats, los, his, lambda1)
+    return list(zip(losses.tolist(), [bins[k] for k in idx.tolist()]))
 
 
 @given(cases(), st.floats(0, 5))
@@ -89,7 +97,7 @@ def test_array_locate_matches_scan(case, lambda1):
     ]
 
     losses = scanned_losses(ys, y_hats, bins, lambda1)
-    assert routed_bin_losses(ys, y_hats, bins, lambda1) == losses
+    assert array_routed_losses(ys, y_hats, bins, lambda1) == losses
     assert [routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)] == losses
 
 
@@ -118,7 +126,7 @@ def test_fractional_truths_route_alike(case, lambda1):
     assert list(zip(idx.tolist(), clamped.tolist())) == want
     assert [locate_bin(bins, y) for y in ys] == want
     losses = scanned_losses(ys, y_hats, bins, lambda1)
-    assert routed_bin_losses(ys, y_hats, bins, lambda1) == losses
+    assert array_routed_losses(ys, y_hats, bins, lambda1) == losses
     assert [routed_bin_loss(y, y_hat, bins, lambda1) for y, y_hat in zip(ys, y_hats)] == losses
 
 
@@ -126,7 +134,7 @@ def test_fractional_truth_routes_above_lower_bin():
     bins = (Bin(0, 10), Bin(11, 20))
     want = (math.log1p(1.5), Bin(11, 20))  # 10.5 lies above [0, 10]
     assert routed_bin_loss(10.5, 12.0, bins) == want
-    assert routed_bin_losses([10.5], [12.0], bins) == [want]
+    assert array_routed_losses([10.5], [12.0], bins, 1.0) == [want]
 
 
 @pytest.mark.parametrize("ys", [[math.nan], [3, math.nan], np.array([1.0, math.nan])])
@@ -136,7 +144,7 @@ def test_nan_truth_rejected_by_every_route(ys):
     with pytest.raises(RangeError, match="count nan is not a number"):
         locate_bins(bins, ys)
     with pytest.raises(RangeError, match="count nan is not a number"):
-        routed_bin_losses(ys, [1.0] * len(ys), bins)
+        routed_edges(bins, ys)
     with pytest.raises(RangeError, match="count nan is not a number"):
         locate_bin(bins, math.nan)
     with pytest.raises(RangeError, match="count nan is not a number"):

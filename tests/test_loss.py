@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from countstrat import (
     Bin,
     LossConfig,
+    RangeError,
     ValidationError,
     bin_loss,
     bin_loss_subgradient,
@@ -46,8 +47,10 @@ class TestBinLoss:
         assert bin_loss(45, 60, REF_BIN, 10.0) == pytest.approx(15.0, abs=1e-12)
 
     def test_ground_truth_outside_bin_rejected(self):
-        with pytest.raises(ValidationError, match="outside its bin"):
+        with pytest.raises(ValidationError, match=r"ground truth 45 outside its bin \[0, 10\]"):
             bin_loss(45, 45, Bin(0, 10), 1.0)
+        with pytest.raises(ValidationError, match=r"ground truth 45 outside its bin \[0, 10\]"):
+            bin_loss_subgradient(45, 45, Bin(0, 10), 1.0)
 
     def test_zero_is_minimum(self):
         for y_hat in np.linspace(20, 80, 121):
@@ -134,6 +137,17 @@ class TestRoutedVariants:
         got = routed_bin_loss_subgradient(5, 7, self.BINS, 1.0)
         assert got == pytest.approx(1 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "y, message",
+        [(math.nan, "count nan is not a number"), (2, "count 2 below partition range start 3"), (-0.5, "count -0.5 below")],
+    )
+    def test_both_routes_reject_a_truth_off_the_range_alike(self, y, message):
+        bins = (Bin(3, 10), Bin(11, 99))
+        with pytest.raises(RangeError, match=message):
+            routed_bin_loss(y, 7, bins, 1.0)
+        with pytest.raises(RangeError, match=message):
+            routed_bin_loss_subgradient(y, 7, bins, 1.0)
+
 
 SPECIAL = [0.0, -0.0, 1.0, 40.0, 50.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
 
@@ -158,8 +172,21 @@ class TestArrayForms:
         got = interval_losses(ys, y_hats, los, his, lambda1).tolist()
         grads = interval_loss_subgradients(ys, y_hats, los, his, lambda1).tolist()
         for (y, y_hat, lo, hi), value, grad in zip(rows, got, grads):
-            assert value.hex() == float(scalar_interval_loss(y, y_hat, lo, hi, lambda1)).hex()
-            assert grad.hex() == float(scalar_interval_loss_subgradient(y, y_hat, lo, hi, lambda1)).hex()
+            want = scalar_interval_loss(y, y_hat, lo, hi, lambda1)
+            want_grad = scalar_interval_loss_subgradient(y, y_hat, lo, hi, lambda1)
+            assert value.hex() == float(want).hex()
+            assert grad.hex() == float(want_grad).hex()
+            if not lo <= hi:
+                continue
+            b = Bin(lo, hi)
+            if b.contains(y):  # the scalar forms on one element give the same bits
+                assert bin_loss(y, y_hat, b, lambda1).hex() == float(want).hex()
+                assert bin_loss_subgradient(y, y_hat, b, lambda1).hex() == float(want_grad).hex()
+                assert combined_loss(0.5, y, y_hat, b, LossConfig(lambda1, 2.0)).hex() == (0.5 + 2.0 * want).hex()
+            if y >= lo:  # a one-bin partition routes every truth from lo up to b
+                loss, used = routed_bin_loss(y, y_hat, (b,), lambda1)
+                assert (loss.hex(), used) == (float(want).hex(), b)
+                assert routed_bin_loss_subgradient(y, y_hat, (b,), lambda1).hex() == float(want_grad).hex()
 
     def test_in_bin_log_is_math_log1p(self):
         # numpy's log1p differs from math.log1p in the last bit on some of these

@@ -679,21 +679,25 @@ def test_blocked_capped_pass_equals_per_cell_reference(row, gamma, at, kind):
         assert got.map_score.hex() == partition_log_score(h, got, PriorConfig(gamma, alpha), kind).hex()
 
 
-def test_numpy_cumsum_along_axis_0_sums_left_to_right():
-    # the capped pass continues each start's left-to-right cell_lg sum with
-    # an in-place np.cumsum(..., axis=0); pairwise summation (np.sum) rounds
-    # these values differently
-    values = [1.0] + [1e-16] * 1000 + [3.0, 0.1] * 50
+@pytest.mark.parametrize("lead", [(2, 3), (3,), ()], ids=["synth-batch", "synth-epoch", "held-out"])
+def test_numpy_cumsum_sums_left_to_right(lead):
+    # the last entry of np.cumsum along the last axis is the scalar loop's
+    # left-to-right sum: synth._train's batch gradients (axis 2 of a
+    # (2, jobs, bs + 1) array, sliced to the batch) and epoch losses (axis 1
+    # of a (jobs, n + 1) array), each behind a column of 0.0, and
+    # tuning._held_out's 1-D sum. Pairwise summation (np.sum) rounds these
+    # values differently.
+    values = [0.0, 1.0] + [1e-16] * 1000 + [3.0, 0.1] * 50
     seq, running = [], 0.0
     for x in values:
         running += x
         seq.append(running)
-    column = np.array(values)
-    assert float(np.sum(column)) != seq[-1]
-    got = np.tile(column[:, None], (1, 3))
-    np.cumsum(got, axis=0, out=got)
-    for col in got.T:
-        assert col.tolist() == seq
+    assert float(np.sum(values)) != seq[-1]
+    block = np.zeros((*lead, len(values) + 5))
+    block[..., : len(values)] = values
+    got = np.cumsum(block[..., : len(values)], axis=len(lead))
+    for row in got.reshape(-1, len(values)):
+        assert row.tolist() == seq
 
 
 def test_numpy_argmax_takes_the_first_of_equal_maxima():

@@ -98,6 +98,14 @@ class TestGenerateDataset:
         assert set(counts.tolist()) <= {0, 300} and 300 in counts
         assert np.isfinite(z).all()
 
+    @pytest.mark.parametrize(
+        "noise", [{"noise_spread": 1e308}, {"noise_bias": -1e308}, {"noise_bias": 1e306, "max_count": 1}]
+    )
+    def test_overflowing_features_rejected(self, noise):
+        # the last: every feature is finite, their sum (the mean's) is not
+        with pytest.raises(ValidationError, match="noise_spread .* and noise_bias .* make the features"):
+            generate_dataset(SynthSpec(**noise))
+
     def test_counts_capped_and_non_negative(self):
         spec = SynthSpec(n_samples=500, max_count=100, log_mean=4.0, log_sigma=1.5)
         counts, _ = generate_dataset(spec)
