@@ -53,8 +53,8 @@ class CountRecord:
     count: int
 
     def __post_init__(self):
-        if not is_integer(self.count) or self.count < 0:
-            raise ValidationError(f"count must be a non-negative integer, got {self.count} for id {self.id!r}")
+        if not is_integer(self.count) or not 0 <= self.count <= MAX_COUNT:
+            raise ValidationError(f"count must be an integer in [0, {MAX_COUNT}], got {self.count} for id {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,8 @@ def count_histogram(counts: np.ndarray) -> CountHistogram:
     its maximum, from one bincount."""
     if not len(counts):
         raise ValidationError("need at least one record")
+    if not counts_in_range(counts):
+        raise ValidationError(f"counts must lie in [0, {MAX_COUNT}], got {counts.min()} to {counts.max()}")
     freqs = np.bincount(counts)
     return CountHistogram(len(freqs) - 1, tuple(freqs.tolist()), smoothing_beta=0)
 

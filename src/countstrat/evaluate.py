@@ -37,8 +37,8 @@ class PredictionRecord:
     y_hat: float
 
     def __post_init__(self):
-        if not is_integer(self.y) or self.y < 0:
-            raise ValidationError(f"ground-truth count must be a non-negative integer, got {self.y} for id {self.id!r}")
+        if not is_integer(self.y) or not 0 <= self.y <= MAX_COUNT:
+            raise ValidationError(f"ground-truth count must be an integer in [0, {MAX_COUNT}], got {self.y} for id {self.id!r}")
         if not abs(self.y_hat) <= MAX_PREDICTION:
             raise ValidationError(f"prediction {self.y_hat} for id {self.id!r} is not finite or exceeds {MAX_PREDICTION:g} in magnitude")
 

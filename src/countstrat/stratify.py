@@ -15,15 +15,17 @@ edges[j+1] - 1. A bin is a run of cells s..r and covers the counts
 edges[s] .. edges[r+1] - 1, so the first bin starts at count 0 and the
 last ends at C.
 
-Determinism is handled at two levels. The dynamic program and the direct
-scoring path share one float convention (per-cell log-gamma terms summed
-left to right, values always from ``math.log``/``math.lgamma``) so their
-scores agree to within a few ulps. On top of that, candidates within a
-tiny relative window of the float optimum are re-ranked in exact rational
-arithmetic, because mathematically tied partitions (symmetric frequency
-patterns, or gamma values whose log cancels a likelihood difference) are
-generally not float ties. Either way ties resolve by one rule, _pick's:
-fewer bins, then the earlier split.
+Determinism is handled at two levels. The direct scoring path and both
+DP passes score a block with one function, _block_score, fed per-cell
+log-gamma terms summed left to right and values from ``math.log``/
+``math.lgamma`` (the passes read tables of them), so every block scores
+alike bit for bit and partition scores agree to within a few ulps. On
+top of that, candidates within a tiny relative window of the float
+optimum are re-ranked in exact rational arithmetic, because
+mathematically tied partitions (symmetric frequency patterns, or gamma
+values whose log cancels a likelihood difference) are generally not
+float ties. Either way ties resolve by one rule, _pick's: fewer bins,
+then the earlier split.
 
 The uncapped fit (_dp) is one forward pass with one row per gamma, every
 gamma at once, for each of a stack of histograms that share their cell
@@ -78,8 +80,8 @@ _EXACT_TIE_MASS_LIMIT = 10_000
 # building any table, so time and memory stay bounded (a fit at the limit
 # takes seconds); synth's default fits score about 10^7 each.
 MAX_CAPPED_WORK = 2_000_000_000
-# Cells per block of the capped pass. Its four buffers hold about this
-# many times M entries each.
+# Cells per block of the capped pass. Its cell_lg buffer and each block's
+# score arrays hold about this many times M entries.
 _CAPPED_BLOCK = 16
 # The uncapped pass steps its gamma rows in groups with their own live sets
 # (_dp). Every _SPLIT_STRIDE cells a group of several rows may split in two;
@@ -230,15 +232,14 @@ def prior_log_prob(n_bins: int, cfg: PriorConfig) -> float:
     return log_p0 + n_bins * math.log(g)
 
 
-def _multinomial_block(mass: int, lgamma_sum: float, width: int) -> float:
-    # Canonical op order; the vectorized DP mirrors it exactly.
-    return (math.lgamma(mass + 1) - lgamma_sum) - mass * math.log(width)
-
-
-def _poisson_block(mass: int, lgamma_sum: float, width: int) -> float:
-    if mass == 0:
-        return 0.0
-    return (mass * (math.log(mass) - math.log(width)) - mass) - lgamma_sum
+def _block_score(kind: LikelihoodKind, mass, ln_width, lgamma_sum, ln_fact, ln):
+    """Float log-likelihood of blocks of positive mass, the one formula of
+    every scoring path: scalars with ln_fact(k) = math.lgamma(k + 1) and ln =
+    math.log (bin_log_likelihood), or arrays with lookups into the log tables
+    (the passes). lgamma_sum is the block's left-to-right sum of log(f!)."""
+    if kind is LikelihoodKind.MULTINOMIAL:
+        return (ln_fact(mass) - lgamma_sum) - mass * ln_width
+    return (mass * (ln(mass) - ln_width) - mass) - lgamma_sum
 
 
 def bin_log_likelihood(hist: CountHistogram, lo: int, hi: int, kind: LikelihoodKind) -> float:
@@ -258,11 +259,9 @@ def bin_log_likelihood(hist: CountHistogram, lo: int, hi: int, kind: LikelihoodK
         f = hist.freqs[c]
         mass += f
         lgamma_sum += math.lgamma(f + 1)
-    if kind is LikelihoodKind.MULTINOMIAL:
-        if mass == 0:
-            return 0.0
-        return _multinomial_block(mass, lgamma_sum, hi - lo + 1)
-    return _poisson_block(mass, lgamma_sum, hi - lo + 1)
+    if mass == 0:
+        return 0.0
+    return _block_score(kind, mass, math.log(hi - lo + 1), lgamma_sum, lambda k: math.lgamma(k + 1), math.log)
 
 
 def partition_log_score(
@@ -351,9 +350,7 @@ class _CellData:
         cell_lg over each block."""
         bmass = self.mass_cum[:, r + 1, None] - self.mass_cum[:, starts]
         ln_width = self.ln_tab[self.edges[r + 1] - self.edges[starts]]
-        if kind is LikelihoodKind.MULTINOMIAL:
-            return (self.ln_fact[bmass] - lgamma_acc) - bmass * ln_width
-        return (bmass * (self.ln_tab[bmass] - ln_width) - bmass) - lgamma_acc
+        return _block_score(kind, bmass, ln_width, lgamma_acc, self.ln_fact.take, self.ln_tab.take)
 
     def block_factor(self, s: int, r: int, kind: LikelihoodKind, g: int = 0) -> Fraction:
         """Exact likelihood factor of histogram g's block of cells s..r in
@@ -634,14 +631,14 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
     that the final pick and the backtrack read. The float maximum is stored
     as the next best, as in _dp. _pick then picks a row under the prior.
 
-    The scores are _dp's bit for bit: each start's left-to-right cell_lg sum
-    is carried across blocks and continued one cell row at a time (zeros
-    before a start's first cell, since 0.0 + x == x; row by row, as numpy's
-    cumsum along the first axis is several times slower), and ties follow
-    _pick's rule: every finite candidate of row b has b - 1 bins before its
-    block, so a float tie goes to the lowest start (argmax's first index),
-    and a histogram small enough for exact keys re-ranks every near set of
-    more than one member through _pick.
+    The scores are _dp's bit for bit, from the one scorer _block_score: each
+    start's left-to-right cell_lg sum is carried across blocks and continued
+    one cell row at a time (zeros before a start's first cell, since 0.0 + x
+    == x; row by row, as numpy's cumsum along the first axis is several
+    times slower), and ties follow _pick's rule: every finite candidate of
+    row b has b - 1 bins before its block, so a float tie goes to the lowest
+    start (argmax's first index), and a histogram small enough for exact
+    keys re-ranks every near set of more than one member through _pick.
     """
     m, w = cells.n_cells, _CAPPED_BLOCK
     edges, mass_cum, cell_lg = cells.edges, cells.mass_cum[0], cells.cell_lg[0]
@@ -649,21 +646,16 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
     best[0, 0] = 0.0
     last = np.zeros((alpha + 1, m), dtype=np.int16 if m < 2**15 else np.int32)
     keys = _PrefixKeys(cells, last, 1, (gamma,) * (alpha + 1), kind) if cells.exact_ties() else None
-    # flat block buffers, each viewed as one contiguous (rows, r1) array per
-    # block: row 0 of lg (lg_buf[:r1]) carries each start's cell_lg sum
-    # before the block and row 1 + i holds its sum to cell r0 + i; iv holds
-    # the block widths, then masses; fv the log widths, then the candidates
-    # of one row; sv the block scores
+    # one flat buffer, viewed as one contiguous (n + 1, r1) array per block:
+    # row 0 (lg_buf[:r1]) carries each start's cell_lg sum before the block
+    # and row 1 + i holds its sum to cell r0 + i
     lg_buf = np.zeros((w + 1) * m)
-    int_buf = np.empty(w * m, dtype=np.int64)
-    tmp_buf, score_buf = np.empty(w * m), np.empty(w * m)
     past = np.triu(np.ones((w, w), dtype=bool), 1)  # the start is past the cell
     cols = np.arange(w)
     for r0 in range(0, m, w):
         r1 = min(r0 + w, m)
         n = r1 - r0
         lg = lg_buf[: (n + 1) * r1].reshape(n + 1, r1)
-        iv, fv, sv = (buf[: n * r1].reshape(n, r1) for buf in (int_buf, tmp_buf, score_buf))
         lg[0, r0:] = 0.0
         lg[1:] = cell_lg[r0:r1, None]
         np.copyto(lg[1:, r0:], 0.0, where=past[:n, :n])
@@ -671,22 +663,12 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
             np.add(lg[i - 1], lg[i], out=lg[i])
         acc = lg[1:]
         # widths and masses clamped past the cell (only starts from r0 on
-        # can be), so every gather is finite before the -inf
-        np.subtract(edges[r0 + 1 : r1 + 1, None], edges[:r1], out=iv)
-        np.maximum(iv[:, r0:], 1, out=iv[:, r0:])
-        np.take(cells.ln_tab, iv, out=fv)
-        np.subtract(mass_cum[r0 + 1 : r1 + 1, None], mass_cum[:r1], out=iv)
-        np.maximum(iv[:, r0:], 1, out=iv[:, r0:])
-        if kind is LikelihoodKind.MULTINOMIAL:
-            np.take(cells.ln_fact, iv, out=sv)
-            sv -= acc
-            sv -= np.multiply(iv, fv, out=fv)
-        else:
-            np.take(cells.ln_tab, iv, out=sv)
-            sv -= fv
-            sv *= iv
-            sv -= iv
-            sv -= acc
+        # can be), so every lookup is finite before the -inf
+        width = edges[r0 + 1 : r1 + 1, None] - edges[:r1]
+        mass = mass_cum[r0 + 1 : r1 + 1, None] - mass_cum[:r1]
+        np.maximum(width[:, r0:], 1, out=width[:, r0:])
+        np.maximum(mass[:, r0:], 1, out=mass[:, r0:])
+        sv = _block_score(kind, mass, cells.ln_tab.take(width), acc, cells.ln_fact.take, cells.ln_tab.take)
         np.copyto(sv[:, r0:], -np.inf, where=past[:n, :n])
         lg[0] = acc[-1]
         # row 1's only finite candidate is the block from cell 0 (last stays 0)
@@ -696,7 +678,7 @@ def _capped_starts(cells: _CellData, gamma: float, alpha: int, kind: LikelihoodK
             if b == alpha and r1 < m:
                 break
             rows = slice(n - 1, n) if b == alpha else slice(0, n)
-            cand = np.add(sv[rows], best[b - 1, :r1], out=fv[rows])
+            cand = sv[rows] + best[b - 1, :r1]
             picks = cand.argmax(axis=1)
             top = best[b, r0 + 1 : r1 + 1][rows] = cand[cols[: len(cand)], picks]
             if keys is not None:

@@ -167,6 +167,8 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
     error it raises.
     """
     n = len(jobs[0].counts)
+    if not n:
+        raise ValidationError("need at least one training sample")
     for job in jobs:
         if job.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}, got {job.scheme!r}")
@@ -179,7 +181,10 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
     ordered = [jobs[j] for j in rows]
     nb = sum(job.scheme != "none" for job in jobs)
     y = np.array([job.counts for job in ordered], dtype=float)
-    scales = [max(float(np.abs(job.z).mean()), 1e-9) for job in ordered]
+    with np.errstate(over="ignore"):  # a non-finite feature makes its job's scale inf or NaN too
+        scales = [max(float(np.abs(job.z).mean()), 1e-9) for job in ordered]
+    if not all(map(math.isfinite, scales)):
+        raise ValidationError("features must be finite, and so must their mean magnitude (the probe's scale)")
     u = np.array([job.z / scale for job, scale in zip(ordered, scales)])
     # plans hold positions into the columns; edges are each sample's (clamped) bin
     assignments = [assign_columns(range(n), job.counts, job.partition) for job in ordered[:nb]]
@@ -194,8 +199,8 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
     failed = np.full(len(jobs), -1)
     pred = np.empty((len(jobs), n))
     row_starts = np.arange(len(jobs))[:, None] * n
-    # column 0 stays 0.0, where the sequential sums start
-    batch_sums = np.zeros((2, len(jobs), bs + 1))
+    # column 0 stays 0.0, where the sequential sums start; no batch outgrows n
+    batch_sums = np.zeros((2, len(jobs), min(bs, n) + 1))
     epoch_terms = np.zeros((len(jobs), n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountRecord, check_integer, count_histogram, record_counts, smooth
+from .counts import MAX_COUNT, CountRecord, check_integer, count_histogram, counts_in_range, record_counts, smooth
 from .errors import ValidationError
 from .jsonfmt import format_float
 from .stratify import LikelihoodKind, Partition, PriorConfig, log_tables, optimal_blocks_per_gamma, optimal_partition
@@ -160,6 +160,8 @@ def _search(counts: np.ndarray, spec: GridSpec):
     """
     if not len(counts):
         raise ValidationError("records must be non-empty")
+    if not counts_in_range(counts):
+        raise ValidationError(f"counts must lie in [0, {MAX_COUNT}], got {counts.min()} to {counts.max()}")
     c_max = int(counts.max())
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
     # split i is (ratio i // n_seeds, seed i % n_seeds); one shuffle per seed serves every ratio

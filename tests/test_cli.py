@@ -364,6 +364,16 @@ class TestSynthCommand:
         assert captured.err.startswith("error: noise_spread") and captured.err.count("\n") == 1 and captured.out == ""
         assert "make the features or their mean magnitude overflow" in captured.err
 
+    def test_batch_larger_than_the_train_set_is_one_batch(self, capsys):
+        # 45 of the 60 samples train at holdout 0.25; the batch buffers are
+        # sized by them, not by --batch-size
+        outs = []
+        for batch_size in ("1000000000", "45"):
+            rc = main(["synth", "--seeds", "1", "--n-samples", "60", "--epochs", "1", "--batch-size", batch_size])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_overflowing_log_mean_caps_counts(self, tmp_path):
         # exp(800) overflows to inf; every count lands on --max-count
         out = tmp_path / "s.json"

@@ -11,7 +11,7 @@ from countstrat import (
     parse_predictions,
     smooth,
 )
-from countstrat.counts import MAX_COUNT
+from countstrat.counts import MAX_COUNT, count_histogram
 
 
 class TestIngest:
@@ -58,6 +58,16 @@ class TestIngest:
         assert recs[0].count == MAX_COUNT
         with pytest.raises(ParseError, match=f"line 3: count {MAX_COUNT + 1} exceeds the limit"):
             ingest_counts(f"id,count\na,1\nb,{MAX_COUNT + 1}")
+
+    def test_record_above_count_limit_rejected(self):
+        # the histogram of this record would hold 3,000,001 cells
+        with pytest.raises(ValidationError, match=f"count must be an integer in \\[0, {MAX_COUNT}\\], got 3000000"):
+            build_histogram([CountRecord("a", 3_000_000)])
+
+    @pytest.mark.parametrize("counts", [[-1, 2], [4, MAX_COUNT + 1]])
+    def test_count_column_out_of_range_rejected(self, counts):
+        with pytest.raises(ValidationError, match=f"counts must lie in \\[0, {MAX_COUNT}\\]"):
+            count_histogram(np.array(counts))
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,10 @@ class TestParsePredictions:
         with pytest.raises(ParseError, match="line 3: ground-truth count 1000001 exceeds the limit 1000000"):
             parse_predictions("id,count_true,count_pred\na,1000000,1.0\nb,1000001,1.0")
 
+    def test_truth_above_count_limit_in_a_record(self):
+        with pytest.raises(ValidationError, match="ground-truth count must be an integer in \\[0, 1000000\\]"):
+            evaluate([PredictionRecord("a", 2**70, 1.0)], make_partition([(0, 4)]))
+
     def test_negative_truth(self):
         with pytest.raises(ValidationError):
             parse_predictions("id,count_true,count_pred\na,-1,1.0")

@@ -36,6 +36,7 @@ from countstrat.stratify import (
     _pick,
     _PrefixKeys,
     _starts_from,
+    fit_partition_columns,
     log_tables,
     optimal_blocks_per_gamma,
 )
@@ -127,6 +128,26 @@ class TestBinLogLikelihood:
             * (1 / 3) ** 6
         )
         assert bin_log_likelihood(h, 0, 2, MULTI) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(
+    row=st.lists(st.integers(0, 3) | st.integers(0, 5000), min_size=1, max_size=60).filter(any),
+    kind=st.sampled_from((MULTI, POIS)),
+)
+def test_direct_scorer_and_dp_score_every_block_alike(row, kind):
+    # bin_log_likelihood sums math.lgamma per count and calls math.log; the
+    # passes feed block_scores per-cell lgamma sums and log_tables lookups.
+    # Zero counts make cells that span gaps.
+    h = CountHistogram(len(row) - 1, tuple(row))
+    cells = _CellData(h.freqs)
+    acc = np.zeros((1, cells.n_cells))
+    for r in range(cells.n_cells):
+        acc[:, : r + 1] += cells.cell_lg[:, r, None]  # the left-to-right cell_lg sum from each start
+        got = cells.block_scores(r, slice(0, r + 1), acc[:, : r + 1], kind)[0]
+        hi = int(cells.edges[r + 1]) - 1
+        want = [bin_log_likelihood(h, int(lo), hi, kind) for lo in cells.edges[: r + 1]]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 class TestPartitionScore:
@@ -763,6 +784,10 @@ class TestBinningConfig:
     def test_integer_fields_reject_other_types(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             BinningConfig(gamma=0.5, **{field: value})
+
+    def test_negative_count_column_rejected(self):
+        with pytest.raises(ValidationError, match="counts must lie in"):
+            fit_partition_columns(np.array([-1, 2]), BinningConfig(gamma=0.5))
 
     def test_prior_alpha_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="alpha must be an integer"):

@@ -199,6 +199,24 @@ class TestToyRegressor:
         with pytest.raises(ValidationError, match="one feature per count"):
             fit_toy_regressor(counts, z[:-1], partition, SMALL_TRAINER, "none", 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [None, np.inf, np.nan])
+    def test_non_finite_features_or_scale_rejected(self, bad):
+        # 600 features of 1e306 are finite, their mean magnitude is not
+        counts, z, _, _ = split_columns(SynthSpec())
+        if bad is None:
+            z = np.full(len(counts), 1e306)
+        else:
+            z[7] = bad
+        with pytest.raises(ValidationError, match="features must be finite, and so must their mean magnitude"):
+            fit_toy_regressor(counts, z, small_partition(counts), SMALL_TRAINER, "rr", 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_training_set_rejected(self):
+        counts, z, _, _ = split_columns(SMALL_SPEC)
+        with pytest.raises(ValidationError, match="at least one training sample"):
+            fit_toy_regressor(counts[:0], z[:0], small_partition(counts), SMALL_TRAINER, "none", 0)
+
     def test_noise_free_fit_is_accurate(self):
         # a budget big enough to converge; the comparison defaults stop earlier
         spec = SynthSpec(n_samples=300, noise_spread=0.0)

@@ -24,7 +24,7 @@ from countstrat import (
 )
 from countstrat import jsonfmt, stratify
 from countstrat.stratify import MAX_MASS, PriorConfig, partition_to_json_dict
-from countstrat.tuning import DEFAULT_GAMMAS, descending_rank_indices, tuning_report_json_dict
+from countstrat.tuning import DEFAULT_GAMMAS, descending_rank_indices, select_gamma_columns, tuning_report_json_dict
 
 
 def make_records(counts):
@@ -360,6 +360,18 @@ class TestOptimalBins:
         hist = smooth(build_histogram(recs), spec.beta)
         oracle = brute_force_partition(hist, PriorConfig(sel.gamma_best), spec.likelihood_kind)
         assert got.bins == oracle.bins
+
+
+class TestCountBound:
+    """The search bounds its counts by MAX_COUNT as the CSV reader does."""
+
+    def test_record_over_int64_rejected(self):
+        with pytest.raises(ValidationError, match="count must be an integer in"):
+            select_gamma([CountRecord("a", 2**70)], GridSpec(n_seeds=1))
+
+    def test_negative_count_in_a_column_rejected(self):
+        with pytest.raises(ValidationError, match="counts must lie in"):
+            select_gamma_columns(np.array([-1, 5, 3, 2]), GridSpec(n_seeds=1))
 
 
 class TestGridSpec:
