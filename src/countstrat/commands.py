@@ -142,8 +142,7 @@ def _cmd_synth(args) -> int:
     binning = replace(DEFAULT_SYNTH_BINNING, **_given(args, "gamma", "alpha", "beta"))
     if hasattr(args, "likelihood"):
         binning = replace(binning, likelihood_kind=LikelihoodKind(args.likelihood))
-    seeds = tuple(spec.seed + k for k in range(args.seeds))
-    report = run_comparison(spec, binning, trainer, seeds)
+    report = run_comparison(spec, binning, trainer, range(spec.seed, spec.seed + args.seeds))
     _write_output(jsonfmt.dumps(comparison_json_dict(report)), args.output)
     return 0
 

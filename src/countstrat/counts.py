@@ -36,13 +36,15 @@ def is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def check_integer(name: str, value, least: int) -> None:
+def check_integer(name: str, value, least: int, most: int | None = None) -> None:
     """Raise ValidationError naming ``name`` unless value is an integer
-    (is_integer) of at least ``least``."""
+    (is_integer) of at least ``least`` and, if given, at most ``most``."""
     if not is_integer(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be <= {most}, got {value}")
 
 
 @dataclass(frozen=True)

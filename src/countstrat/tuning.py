@@ -12,11 +12,14 @@ select_gamma and optimal_bins read the records into one), each (ratio,
 seed) split is a pair of index arrays into it (the seeded permutation
 split_records uses), and only the train side's histogram (one bincount
 plus beta) and the test count column are kept. Every split is drawn
-first; then the train histograms of all ratios that share their cell
-edges (with beta >= 1, those with the same maximum) are stacked and fit in
-one DP pass, with one row per (histogram, gamma), and each split is scored
-from its blocks in test order as they arrive. The log tables of every fit
-are slices of one pair built per search and sized by the whole input.
+first, seed by seed; then the train histograms of all ratios that share
+their cell edges (with beta >= 1, those with the same maximum) are stacked
+and fit in one DP pass, with one row per (histogram, gamma), and each split
+is scored from its blocks in test order as they arrive, into one (seed,
+ratio, gamma) array of held-out log-likelihoods. The mean table, the
+per-ratio ranks and the index sums all come from that array; each mean
+sums its seeds left to right. The log tables of every fit are slices of
+one pair built per search and sized by the whole input.
 split_records and held_out_log_likelihood are the record-list forms of
 the same split and scorer.
 """
@@ -36,6 +39,10 @@ from .stratify import LikelihoodKind, Partition, PriorConfig, log_tables, optima
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
 DEFAULT_N_SEEDS = 10
+MAX_N_SEEDS = 1_000  # 100 times the default; synth's --seeds shares it
+# the train histograms' cells of the default grid at MAX_COUNT: every default
+# search that the CSV reader admits fits
+MAX_SEARCH_CELLS = len(DEFAULT_RATIOS) * DEFAULT_N_SEEDS * (MAX_COUNT + 1)
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,7 @@ class GridSpec:
             # a repeat would be scored twice and share one key in the report
             if len(set(values)) < len(values):
                 raise ValidationError(f"{name} must not repeat a value, got {', '.join(map(str, values))}")
-        check_integer("n_seeds", self.n_seeds, 1)
+        check_integer("n_seeds", self.n_seeds, 1, MAX_N_SEEDS)
         check_integer("beta", self.beta, 0)
 
 
@@ -163,39 +170,28 @@ def _search(counts: np.ndarray, spec: GridSpec):
     if not counts_in_range(counts):
         raise ValidationError(f"counts must lie in [0, {MAX_COUNT}], got {counts.min()} to {counts.max()}")
     c_max = int(counts.max())
+    n_ratios, n_gammas = len(spec.ratios), len(spec.gammas)
+    if n_ratios * spec.n_seeds * (c_max + 1) > MAX_SEARCH_CELLS:
+        raise ValidationError(f"ratios x n_seeds x (max count + 1) must be <= {MAX_SEARCH_CELLS}, got {n_ratios} x {spec.n_seeds} x {c_max + 1}")
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
-    # split i is (ratio i // n_seeds, seed i % n_seeds); one shuffle per seed serves every ratio
-    n_splits = len(spec.ratios) * spec.n_seeds
-    trains, tests = [None] * n_splits, [None] * n_splits
+    # split i is (seed i // n_ratios, ratio i % n_ratios); one shuffle per seed serves every ratio
+    trains, tests = [], []
     for seed in range(spec.n_seeds):
         perm = _shuffle(len(counts), seed)
-        for ri, ratio in enumerate(spec.ratios):
+        for ratio in spec.ratios:
             train, test = _split_shuffle(perm, ratio)
-            i = ri * spec.n_seeds + seed
-            trains[i] = np.bincount(counts[train]) + spec.beta
-            tests[i] = counts[test]
-    loglik = [()] * n_splits
+            trains.append(np.bincount(counts[train]) + spec.beta)
+            tests.append(counts[test])
+    scores = np.empty((spec.n_seeds, n_ratios, n_gammas))  # held-out log-likelihoods
     for i, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
-        loglik[i] = _held_out(tests[i], blocks, tables[0])
-    means: dict[tuple[int, int], float] = {}
-    table = []
-    for gi, gamma in enumerate(spec.gammas):
-        for ri, ratio in enumerate(spec.ratios):
-            acc = 0.0
-            for seed in range(spec.n_seeds):
-                acc += loglik[ri * spec.n_seeds + seed][gi]
-            mean = acc / spec.n_seeds
-            means[(gi, ri)] = mean
-            table.append((gamma, ratio, mean))
-    sums = [0] * len(spec.gammas)
-    for ri in range(len(spec.ratios)):
-        pos = descending_rank_indices([means[(gi, ri)] for gi in range(len(spec.gammas))], spec.gammas)
-        for gi, p in enumerate(pos):
-            sums[gi] += p
-    best_gi = min(range(len(spec.gammas)), key=lambda gi: (sums[gi], spec.gammas[gi]))
+        scores[divmod(i, n_ratios)] = _held_out(tests[i], blocks, tables[0])
+    # cumsum adds the seeds left to right, as a scalar loop would
+    means = (np.cumsum(scores, axis=0)[-1] / spec.n_seeds).tolist()  # [ratio][gamma]
+    sums = np.sum([descending_rank_indices(row, spec.gammas) for row in means], axis=0).tolist()
+    best_gi = min(range(n_gammas), key=lambda gi: (sums[gi], spec.gammas[gi]))
     selection = GammaSelection(
         gamma_best=spec.gammas[best_gi],
-        table=tuple(table),
+        table=tuple((g, r, means[ri][gi]) for gi, g in enumerate(spec.gammas) for ri, r in enumerate(spec.ratios)),
         index_sums=tuple(zip(spec.gammas, sums)),
     )
     return selection, tables
@@ -210,9 +206,10 @@ def select_gamma_columns(counts: np.ndarray, spec: GridSpec) -> GammaSelection:
     """Full grid evaluation over an int64 count column; deterministic for
     fixed counts and spec.
 
-    Each (ratio, seed) split is drawn and scored once for every gamma; the
-    means are then reduced in canonical (gamma, ratio, seed) order, so
-    results do not depend on the evaluation schedule.
+    Each (seed, ratio) split is drawn and scored once for every gamma into
+    one (seed, ratio, gamma) score array; each (gamma, ratio) mean then sums
+    its seeds left to right, so results do not depend on the evaluation
+    schedule.
     """
     return _search(counts, spec)[0]
 

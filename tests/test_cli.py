@@ -381,6 +381,19 @@ class TestSynthCommand:
         assert rc == 0
         assert json.loads(read(out))["seeds"] == [0]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--seeds", "100000000"), "need 1 to 1000 seeds, got 100000000"),
+            (("--seeds", "1", "--n-samples", "200000000"), "n_samples must be <= 1000000, got 200000000"),
+        ],
+    )
+    def test_size_flags_bounded(self, flags, message, capsys):
+        assert main(["synth", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_negative_seed_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--seed", "-1", "--seeds", "1"])
@@ -423,6 +436,23 @@ class TestTuneCommand:
         with pytest.raises(SystemExit) as exc:
             main(["tune", str(FIXTURES / "counts50.csv"), "--alpha", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "counts, flags, message",
+        [
+            ([0, 1, 2, 3], ("--cv-seeds", "20000"), "n_seeds must be <= 1000, got 20000"),
+            # 3 ratios x 11 seeds x 1,000,001 cells: one seed over the default grid at MAX_COUNT
+            ([0, 1_000_000], ("--cv-seeds", "11"), "got 3 x 11 x 1000001"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["tune", "bin"])
+    def test_search_size_bounded(self, command, counts, flags, message, tmp_path, capsys):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text("id,count\n" + "".join(f"r{i},{c}\n" for i, c in enumerate(counts)))
+        assert main([command, str(csv_path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestBadInputFiles:

@@ -161,6 +161,10 @@ class TestHistogramType:
             CountHistogram(1, (1, -1))
         with pytest.raises(ValidationError):
             CountHistogram(1, (0, 1), smoothing_beta=1)  # cell below beta
+        with pytest.raises(ValidationError, match="max_count must be >= 0"):
+            CountHistogram(-1, ())
+        with pytest.raises(ValidationError, match="smoothing_beta must be >= 0"):
+            CountHistogram(1, (0, 1), smoothing_beta=-1)
 
     def test_support(self):
         h = CountHistogram(4, (1, 0, 3, 0, 2))

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -55,3 +56,17 @@ mixed_lists = st.recursive(
 @example([["a", "b"], ["\U0001F600\"\\"], ()])
 def test_str_list_join_matches_item_loop(doc):
     assert jsonfmt.dumps(doc) == jsonfmt.dumps(_via_item_loop(doc))
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ([1.0, float("nan")], ValueError, "cannot serialize non-finite float nan"),
+        ({"a": float("-inf")}, ValueError, "cannot serialize non-finite float -inf"),
+        ({1: "a"}, TypeError, "JSON keys must be strings"),
+        ([{"a", "b"}], TypeError, "cannot serialize <class 'set'>"),
+    ],
+)
+def test_dumps_rejects_what_json_cannot_hold(doc, error, message):
+    with pytest.raises(error, match=message):
+        jsonfmt.dumps(doc)

@@ -176,6 +176,10 @@ class TestPlanInvariants:
         assert 1 <= len(plan.batches[-1]) <= batch_size
         assert plan == plan_epoch(asg, batch_size, seed, scheme)
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValidationError, match="unknown scheme 'rr'"):
+            plan_epoch(make_assignment([2, 1]), 2, 0, "rr")
+
     @given(
         sizes=st.lists(st.integers(1, 8), min_size=2, max_size=5),
         batch_size=st.integers(1, 5),

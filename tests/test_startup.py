@@ -137,4 +137,5 @@ def test_synth_flags_reach_the_configs(synth_configs):
     assert synth_configs["spec"] == SynthSpec(50, 2.0, 1.0, 90, 0.2, 0.1, 3)
     assert synth_configs["binning"] == BinningConfig(0.3, 4, 2, LikelihoodKind.POISSON)
     assert synth_configs["trainer"] == TrainerConfig(5, 0.1, 8, LossConfig(0.5, 2.0), 0.3)
-    assert synth_configs["seeds"] == (3, 4)
+    # a range: _cmd_synth builds no seed list before run_comparison bounds its length
+    assert synth_configs["seeds"] == range(3, 5)

@@ -59,6 +59,8 @@ class TestPrior:
         assert prior_log_prob(1, cfg) == pytest.approx(math.log(1 / 3), abs=1e-12)
         assert prior_log_prob(2, cfg) == pytest.approx(math.log(1 / 6), abs=1e-12)
         assert prior_log_prob(3, cfg) == float("-inf")
+        with pytest.raises(ValidationError, match="n_bins must be >= 1"):
+            prior_log_prob(0, cfg)
 
     def test_needs_resolved_alpha(self):
         with pytest.raises(ValidationError, match="alpha"):
@@ -700,24 +702,30 @@ def test_blocked_capped_pass_equals_per_cell_reference(row, gamma, at, kind):
         assert got.map_score.hex() == partition_log_score(h, got, PriorConfig(gamma, alpha), kind).hex()
 
 
-@pytest.mark.parametrize("lead", [(2, 3), (3,), ()], ids=["synth-batch", "synth-epoch", "held-out"])
-def test_numpy_cumsum_sums_left_to_right(lead):
-    # the last entry of np.cumsum along the last axis is the scalar loop's
+@pytest.mark.parametrize(
+    "lead, trail",
+    [((2, 3), ()), ((3,), ()), ((), ()), ((), (3, 9))],
+    ids=["synth-batch", "synth-epoch", "held-out", "search-seeds"],
+)
+def test_numpy_cumsum_sums_left_to_right(lead, trail):
+    # the last entry of np.cumsum along an axis is the scalar loop's
     # left-to-right sum: synth._train's batch gradients (axis 2 of a
     # (2, jobs, bs + 1) array, sliced to the batch) and epoch losses (axis 1
-    # of a (jobs, n + 1) array), each behind a column of 0.0, and
-    # tuning._held_out's 1-D sum. Pairwise summation (np.sum) rounds these
-    # values differently.
+    # of a (jobs, n + 1) array), each behind a column of 0.0,
+    # tuning._held_out's 1-D sum, and tuning._search's seed sums (axis 0 of
+    # a (seeds, ratios, gammas) array). Pairwise summation (np.sum) rounds
+    # these values differently.
     values = [0.0, 1.0] + [1e-16] * 1000 + [3.0, 0.1] * 50
     seq, running = [], 0.0
     for x in values:
         running += x
         seq.append(running)
     assert float(np.sum(values)) != seq[-1]
-    block = np.zeros((*lead, len(values) + 5))
-    block[..., : len(values)] = values
-    got = np.cumsum(block[..., : len(values)], axis=len(lead))
-    for row in got.reshape(-1, len(values)):
+    block = np.zeros((*lead, len(values) + 5, *trail))
+    summed = (*[slice(None)] * len(lead), slice(len(values)))
+    block[summed] = np.reshape(values, (len(values),) + (1,) * len(trail))
+    got = np.cumsum(block[summed], axis=len(lead))
+    for row in np.moveaxis(got, len(lead), -1).reshape(-1, len(values)):
         assert row.tolist() == seq
 
 

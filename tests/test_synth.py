@@ -19,8 +19,8 @@ from countstrat import (
 )
 from countstrat.counts import count_histogram, smooth
 from countstrat.stratify import fit_partition_columns, optimal_partition
-from countstrat.synth import _EPOCH_SEED_STRIDE, DEFAULT_SYNTH_BINNING, comparison_json_dict
-from countstrat.tuning import _index_split
+from countstrat.synth import _EPOCH_SEED_STRIDE, DEFAULT_SYNTH_BINNING, MAX_N_SAMPLES, comparison_json_dict
+from countstrat.tuning import MAX_N_SEEDS, _index_split
 from scalar_reference import reference_fit
 
 SMALL_SPEC = SynthSpec(n_samples=160, max_count=400)
@@ -70,6 +70,11 @@ class TestGenerateDataset:
             SynthSpec(noise_spread=-0.1)
         with pytest.raises(ValidationError):
             SynthSpec(max_count=0)
+        with pytest.raises(ValidationError, match="log_sigma must be >= 0"):
+            SynthSpec(log_sigma=-0.1)
+        with pytest.raises(ValidationError, match="n_samples must be <= 1000000"):
+            SynthSpec(n_samples=MAX_N_SAMPLES + 1)
+        assert SynthSpec(n_samples=MAX_N_SAMPLES).n_samples == MAX_N_SAMPLES
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -351,6 +356,16 @@ class TestRunComparison:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValidationError):
             run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, ())
+
+    def test_seed_count_bounded_before_any_seed_runs(self, monkeypatch):
+        def no_seed(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(synth_mod, "_compare_seeds", no_seed)
+        with pytest.raises(ValidationError, match="need 1 to 1000 seeds, got 100000000"):
+            run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, range(10**8))
+        with pytest.raises(AssertionError, match="a seed ran"):
+            run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, range(MAX_N_SEEDS))
 
     def test_json_dict_shape(self):
         rep = run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, (0,))

@@ -22,9 +22,19 @@ from countstrat import (
     smooth,
     split_records,
 )
-from countstrat import jsonfmt, stratify
+from countstrat import jsonfmt, stratify, tuning
+from countstrat.counts import MAX_COUNT
 from countstrat.stratify import MAX_MASS, PriorConfig, partition_to_json_dict
-from countstrat.tuning import DEFAULT_GAMMAS, descending_rank_indices, select_gamma_columns, tuning_report_json_dict
+from countstrat.tuning import (
+    DEFAULT_GAMMAS,
+    DEFAULT_N_SEEDS,
+    DEFAULT_RATIOS,
+    MAX_N_SEEDS,
+    MAX_SEARCH_CELLS,
+    descending_rank_indices,
+    select_gamma_columns,
+    tuning_report_json_dict,
+)
 
 
 def make_records(counts):
@@ -373,6 +383,32 @@ class TestCountBound:
         with pytest.raises(ValidationError, match="counts must lie in"):
             select_gamma_columns(np.array([-1, 5, 3, 2]), GridSpec(n_seeds=1))
 
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValidationError, match="records must be non-empty"):
+            select_gamma_columns(np.array([], dtype=np.int64), GridSpec())
+
+
+class TestSearchCells:
+    """The train histograms of one search hold at most MAX_SEARCH_CELLS
+    cells, checked before any split is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_split(self, monkeypatch):
+        def shuffle(n, seed):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(tuning, "_shuffle", shuffle)
+
+    @pytest.mark.parametrize("spec", [GridSpec(n_seeds=DEFAULT_N_SEEDS + 1), GridSpec(ratios=(*DEFAULT_RATIOS, 0.5))])
+    def test_over_the_default_grid_at_max_count_rejected(self, spec):
+        with pytest.raises(ValidationError, match=f"must be <= {MAX_SEARCH_CELLS}, got"):
+            select_gamma_columns(np.array([0, MAX_COUNT]), spec)
+
+    def test_default_grid_at_max_count_admitted(self):
+        assert MAX_SEARCH_CELLS == len(DEFAULT_RATIOS) * DEFAULT_N_SEEDS * (MAX_COUNT + 1)
+        with pytest.raises(AssertionError, match="a split was drawn"):
+            select_gamma_columns(np.array([0, MAX_COUNT]), GridSpec())
+
 
 class TestGridSpec:
     def test_validation(self):
@@ -384,6 +420,9 @@ class TestGridSpec:
             GridSpec(ratios=(0.0,))
         with pytest.raises(ValidationError):
             GridSpec(n_seeds=0)
+        with pytest.raises(ValidationError, match="n_seeds must be <= 1000, got 1001"):
+            GridSpec(n_seeds=MAX_N_SEEDS + 1)
+        assert GridSpec(n_seeds=MAX_N_SEEDS).n_seeds == MAX_N_SEEDS
         with pytest.raises(ValidationError):
             GridSpec(beta=-1)
 
