@@ -46,13 +46,25 @@ def _read_text(path: str) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    """Write to stdout, or atomically to path: a temp file beside it, then
-    os.replace, so a failed run never leaves a truncated output behind."""
+    """Write to stdout, or to path. A new or regular file, reached through
+    ordinary symlinks, is replaced atomically (a temp file beside it, then
+    os.replace), so a failed run never leaves a truncated output behind. A
+    FIFO, a device or a link under /proc (an open file, not a path; /dev/stdout
+    is this process's descriptor 1, written through) is appended to in place."""
     if path is None:
         sys.stdout.write(text)
         return
-    target = Path(path)
-    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    target, parent = os.path.abspath(path), None
+    for _ in range(40):  # the kernel's bound on a link chain; past it, open fails
+        if not os.path.islink(target) or (parent := os.path.realpath(os.path.dirname(target))).startswith("/proc/"):
+            break
+        target = os.path.join(parent, os.readlink(target))
+    own = parent == f"/proc/{os.getpid()}/fd"
+    if own or os.path.islink(target) or os.path.exists(target) and not os.path.isfile(target):
+        with open(int(os.path.basename(target)) if own else target, "a", encoding="utf-8", closefd=not own) as out:
+            out.write(text)
+        return
+    tmp = Path(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, target)

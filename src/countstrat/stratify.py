@@ -97,9 +97,9 @@ _GROUP_STEP_COST = 12_000
 # A pass's winning-start table holds one small integer per (histogram,
 # gamma, cell). _blocks_by_group fits a group of histograms in as many
 # passes as keep each table at or below this many entries; one histogram's
-# gammas always share a pass (its yielded blocks hold as many edges). A
-# default-grid pass of ten histograms over MAX_COUNT + 1 cells needs
-# 9.0 * 10^7.
+# gammas always share a pass (its blocks hold as many edges), so a histogram
+# whose gammas x cells exceed it is rejected. A default-grid pass of ten
+# histograms over MAX_COUNT + 1 cells needs 9.0 * 10^7.
 _MAX_PASS_ENTRIES = 90_000_000
 
 
@@ -739,13 +739,16 @@ def optimal_blocks_per_gamma(
     row), PriorConfig(gamma), kind).bins. Rows with the same cell edges are
     fit together, in one DP pass per distinct edges, and yielded in the order
     of their group's first row, each group after its pass. ``tables`` as in
-    optimal_partition, large enough for every row; the inputs are checked
-    before this returns."""
+    optimal_partition, large enough for every row; the inputs (each row's
+    gammas x cells at most _MAX_PASS_ENTRIES) are checked before this returns."""
     for gamma in gammas:
         PriorConfig(gamma)
     groups: dict[bytes, list[int]] = {}
     for g, row in enumerate(freqs):
-        groups.setdefault(_cell_edges(row).tobytes(), []).append(g)
+        edges = _cell_edges(row)
+        if len(gammas) * (len(edges) - 1) > _MAX_PASS_ENTRIES:
+            raise ValidationError(f"gammas x cells of a histogram must be <= {_MAX_PASS_ENTRIES}, got {len(gammas)} x {len(edges) - 1}")
+        groups.setdefault(edges.tobytes(), []).append(g)
     tables = tables or log_tables(max(int(np.sum(row)) for row in freqs), max(len(row) for row in freqs) - 1)
     return _blocks_by_group(freqs, groups.values(), tuple(gammas), kind, tables)
 

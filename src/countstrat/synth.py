@@ -62,17 +62,14 @@ class SynthSpec:
 
     def __post_init__(self):
         check_integer("n_samples", self.n_samples, 1, MAX_N_SAMPLES)
-        check_integer("max_count", self.max_count, 1)
+        check_integer("max_count", self.max_count, 1, MAX_COUNT)
         check_integer("seed", self.seed, 0)
         for name in ("log_mean", "log_sigma", "noise_spread", "noise_bias"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.noise_spread < 0:
-            raise ValidationError("noise_spread must be >= 0")
-        if not 1 <= self.max_count <= MAX_COUNT:
-            raise ValidationError(f"max_count must lie in [1, {MAX_COUNT}], got {self.max_count}")
-        if self.log_sigma < 0:
-            raise ValidationError("log_sigma must be >= 0")
+        for name in ("noise_spread", "log_sigma"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,8 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
     job's epoch order comes from its own plan (or shuffle), and batch k is
     columns [k * batch_size, (k + 1) * batch_size) of the (jobs, n) arrays
     gathered in that order. One numpy step advances every job by one batch.
+    Rows keep the jobs' order; one boolean mask picks the bin-loss rows
+    ("rr" and "rs"), whose batches come from a balanced plan, not a shuffle.
 
     The result is the scalar per-sample loop's bit for bit: elementwise
     operations are IEEE-identical in numpy and Python and keep its order,
@@ -176,21 +175,18 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
             raise ValidationError(f"need one feature per count, got {len(job.z)} features for {len(job.counts)} counts")
         if len(job.counts) != n:
             raise ValidationError(f"jobs trained in lockstep need one size, got {len(job.counts)} and {n} counts")
-    # the bin-loss jobs take the first nb rows, so they are one slice
-    rows = sorted(range(len(jobs)), key=lambda j: jobs[j].scheme == "none")
-    ordered = [jobs[j] for j in rows]
-    nb = sum(job.scheme != "none" for job in jobs)
-    y = np.array([job.counts for job in ordered], dtype=float)
+    binned = np.array([job.scheme != "none" for job in jobs])  # the bin-loss rows
+    y = np.array([job.counts for job in jobs], dtype=float)
     with np.errstate(over="ignore"):  # a non-finite feature makes its job's scale inf or NaN too
-        scales = [max(float(np.abs(job.z).mean()), 1e-9) for job in ordered]
+        scales = [max(float(np.abs(job.z).mean()), 1e-9) for job in jobs]
     if not all(map(math.isfinite, scales)):
         raise ValidationError("features must be finite, and so must their mean magnitude (the probe's scale)")
-    u = np.array([job.z / scale for job, scale in zip(ordered, scales)])
-    # plans hold positions into the columns; edges are each sample's (clamped) bin
-    assignments = [assign_columns(range(n), job.counts, job.partition) for job in ordered[:nb]]
-    lo, hi = np.zeros((nb, n)), np.zeros((nb, n))
-    for i, job in enumerate(ordered[:nb]):
-        _, lo[i], hi[i] = routed_edges(job.partition.bins, job.counts)
+    u = np.array([job.z / scale for job, scale in zip(jobs, scales)])
+    # plans hold positions into the columns; edges are each sample's (clamped) bin, one row per bin-loss job
+    assignments = [assign_columns(range(n), job.counts, job.partition) if b else None for job, b in zip(jobs, binned)]
+    lo, hi = np.zeros((2, int(binned.sum()), n))
+    for i, j in enumerate(np.flatnonzero(binned)):
+        _, lo[i], hi[i] = routed_edges(jobs[j].partition.bins, jobs[j].counts)
     lam1, lam2, bs = cfg.loss.lambda1, cfg.loss.lambda2, cfg.batch_size
 
     # rows 0 and 1: every job's weight and offset, stepped as one array
@@ -206,17 +202,17 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
         for epoch in range(cfg.epochs):
             lr = cfg.learning_rate / (1.0 + epoch)
             orders = []
-            for i, job in enumerate(ordered):
+            for job, assignment in zip(jobs, assignments):
                 plan_seed = job.seed * _EPOCH_SEED_STRIDE + epoch
-                if i >= nb:
+                if assignment is None:
                     batches = _epoch_batches_shuffled(n, bs, plan_seed)
                 else:
-                    batches = plan_epoch(assignments[i], bs, plan_seed, SamplingScheme(job.scheme)).batches
+                    batches = plan_epoch(assignment, bs, plan_seed, SamplingScheme(job.scheme)).batches
                 orders.append(itertools.chain.from_iterable(batches))
-            # flat positions: row i's order plus i * n
             order = np.fromiter(itertools.chain.from_iterable(orders), np.intp, len(jobs) * n).reshape(len(jobs), n)
-            order += row_starts
-            ys, us, los, his = y.take(order), u.take(order), lo.take(order[:nb]), hi.take(order[:nb])
+            los, his = np.take_along_axis(lo, order[binned], axis=1), np.take_along_axis(hi, order[binned], axis=1)
+            order += row_starts  # flat positions: row j's order plus j * n
+            ys, us = y.take(order), u.take(order)
             for k in range(0, n, bs):
                 cols, m = slice(k, k + bs), min(bs, n - k)
                 uk, yk, pk = us[:, cols], ys[:, cols], pred[:, cols]
@@ -225,26 +221,22 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
                 err = pk - yk
                 grad = np.copysign(1.0, err)
                 grad[err == 0.0] = 0.0
-                if nb:
-                    grad[:nb] += lam2 * interval_loss_subgradients(yk[:nb], pk[:nb], los[:, cols], his[:, cols], lam1)
+                if binned.any():
+                    grad[binned] += lam2 * interval_loss_subgradients(yk[binned], pk[binned], los[:, cols], his[:, cols], lam1)
                 np.multiply(grad, uk, out=batch_sums[0, :, 1 : m + 1])
                 batch_sums[1, :, 1 : m + 1] = grad
                 params -= lr * np.cumsum(batch_sums[:, :, : m + 1], axis=2)[:, :, -1] / m
             terms = epoch_terms[:, 1:]
             np.abs(pred - ys, out=terms)
-            if nb:
-                terms[:nb] += lam2 * interval_losses(ys[:nb], pred[:nb], los, his, lam1)
+            if binned.any():
+                terms[binned] += lam2 * interval_losses(ys[binned], pred[binned], los, his, lam1)
             losses[:, epoch] = np.cumsum(epoch_terms, axis=1)[:, -1] / n
             finite = np.isfinite(params).all(axis=0) & np.isfinite(losses[:, epoch])
             failed[~finite & (failed < 0)] = epoch
             if (failed >= 0).all():
                 break
-    fits: list = [None] * len(jobs)
-    first_bad: list = [None] * len(jobs)
-    for i, j in enumerate(rows):
-        fits[j] = ToyFit(float(params[0, i]), float(params[1, i]), scales[i], tuple(losses[i].tolist()))
-        first_bad[j] = int(failed[i]) if failed[i] >= 0 else None
-    return fits, first_bad
+    fits = [ToyFit(w, c, scale, tuple(row)) for w, c, scale, row in zip(*params.tolist(), scales, losses.tolist())]
+    return fits, [k if k >= 0 else None for k in failed.tolist()]
 
 
 def _finished(fit: ToyFit, failed: int | None, scheme: str) -> ToyFit:
@@ -325,20 +317,12 @@ def run_comparison(
     by_seed = []
     for at in range(0, len(seeds), per_chunk):
         by_seed += _compare_seeds(spec, binning, trainer, tuple(seeds[at : at + per_chunk]))
-    pooled_std = {s: [reports[s].pooled_std for reports in by_seed] for s in SCHEMES}
-    wins = {
-        scheme: sum(
-            1
-            for k in range(len(seeds))
-            if pooled_std[scheme][k] < pooled_std["none"][k]
-        )
-        for scheme in ("rr", "rs")
-    }
+    stds = {s: tuple(reports[s].pooled_std for reports in by_seed) for s in SCHEMES}
     return ComparisonReport(
         reports=tuple((s, by_seed[0][s]) for s in SCHEMES),
         seeds=tuple(seeds),
-        pooled_std_by_seed=tuple((s, tuple(pooled_std[s])) for s in SCHEMES),
-        win_counts=tuple((s, wins[s]) for s in ("rr", "rs")),
+        pooled_std_by_seed=tuple(stds.items()),
+        win_counts=tuple((s, sum(a < b for a, b in zip(stds[s], stds["none"]))) for s in ("rr", "rs")),
     )
 
 

@@ -40,9 +40,9 @@ DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
 DEFAULT_N_SEEDS = 10
 MAX_N_SEEDS = 1_000  # 100 times the default; synth's --seeds shares it
-# the train histograms' cells of the default grid at MAX_COUNT: every default
-# search that the CSV reader admits fits
-MAX_SEARCH_CELLS = len(DEFAULT_RATIOS) * DEFAULT_N_SEEDS * (MAX_COUNT + 1)
+# the default grid's (train histogram cell, gamma) pairs at MAX_COUNT, fewer
+# gammas counted as nine: every default search that the CSV reader admits fits
+MAX_SEARCH_CELLS = len(DEFAULT_RATIOS) * DEFAULT_N_SEEDS * (MAX_COUNT + 1) * len(DEFAULT_GAMMAS)
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,8 @@ def _search(counts: np.ndarray, spec: GridSpec):
         raise ValidationError(f"counts must lie in [0, {MAX_COUNT}], got {counts.min()} to {counts.max()}")
     c_max = int(counts.max())
     n_ratios, n_gammas = len(spec.ratios), len(spec.gammas)
-    if n_ratios * spec.n_seeds * (c_max + 1) > MAX_SEARCH_CELLS:
-        raise ValidationError(f"ratios x n_seeds x (max count + 1) must be <= {MAX_SEARCH_CELLS}, got {n_ratios} x {spec.n_seeds} x {c_max + 1}")
+    if n_ratios * spec.n_seeds * (c_max + 1) * max(n_gammas, len(DEFAULT_GAMMAS)) > MAX_SEARCH_CELLS:
+        raise ValidationError(f"ratios x n_seeds x (max count + 1) x max(gammas, {len(DEFAULT_GAMMAS)}) must be <= {MAX_SEARCH_CELLS}, got {n_ratios} x {spec.n_seeds} x {c_max + 1} x {n_gammas}")
     tables = log_tables(len(counts) + spec.beta * (c_max + 1), c_max)
     # split i is (seed i // n_ratios, ratio i % n_ratios); one shuffle per seed serves every ratio
     trains, tests = [], []

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -107,6 +108,56 @@ class TestBinCommand:
         monkeypatch.undo()
         assert main(argv) == 0
         assert read(out).startswith("{") and list(tmp_path.iterdir()) == [out]
+
+    def test_output_through_a_symlink_keeps_the_link(self, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("previous\n", encoding="utf-8")
+        link.symlink_to(real)
+        argv = ["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5"]
+        assert main(argv + ["-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert read(real) == read(link) != "previous\n"
+        assert sorted(tmp_path.iterdir()) == [link, real]
+        # a dangling link gets its target created
+        real.unlink()
+        assert main(argv + ["-o", str(link)]) == 0
+        assert link.is_symlink() and read(real).startswith("{")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_a_fifo_writes_into_it(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        want = tmp_path / "want.json"
+        argv = ["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5"]
+        assert main(argv + ["-o", str(want)]) == 0
+        # the reader is open first, so the write cannot block; the output fits the pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(argv + ["-o", str(fifo)]) == 0
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got.decode("utf-8") == read(want)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_output_to_own_descriptor_writes_through_it(self, tmp_path):
+        # /proc/self/fd/1 names the open file, which is neither replaced nor truncated
+        want, log = tmp_path / "want.json", tmp_path / "log"
+        argv = ["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5"]
+        assert main(argv + ["-o", str(want)]) == 0
+        run = [sys.executable, "-m", "countstrat", *argv, "-o", "/proc/self/fd/1"]
+        log.write_text("previous\n", encoding="utf-8")
+        with open(log, "a", encoding="utf-8") as out:  # as `countstrat ... >> log`
+            assert subprocess.run(run, stdout=out).returncode == 0
+        assert read(log) == "previous\n" + read(want)
+        with open(log, "w", encoding="utf-8") as out:  # as `{ echo a; countstrat ...; echo b; } > log`
+            out.write("a\n")
+            out.flush()
+            assert subprocess.run(run, stdout=out).returncode == 0
+            out.write("b\n")
+        assert read(log) == "a\n" + read(want) + "b\n"
+        assert sorted(tmp_path.iterdir()) == [log, want]
 
     def test_stdout_default(self, capsys):
         rc = main(["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.3"])
@@ -443,6 +494,16 @@ class TestTuneCommand:
             ([0, 1, 2, 3], ("--cv-seeds", "20000"), "n_seeds must be <= 1000, got 20000"),
             # 3 ratios x 11 seeds x 1,000,001 cells: one seed over the default grid at MAX_COUNT
             ([0, 1_000_000], ("--cv-seeds", "11"), "got 3 x 11 x 1000001"),
+            # one seed over the default grid at MAX_COUNT, with fewer gammas: they count as nine
+            ([0, 1_000_000], ("--gammas", "0.5", "--cv-seeds", "11"), "got 3 x 11 x 1000001 x 1"),
+            # the default grid at MAX_COUNT with one gamma more
+            ([0, 1_000_000], ("--gammas", ",".join(f"{k / 11:.6f}" for k in range(1, 11))), "got 3 x 10 x 1000001 x 10"),
+            # inside the search bound, but 2,000 gammas of one histogram would need a 2,000 x 100,001 table
+            (
+                [*range(10), *[100_000] * 10],
+                ("--ratios", "0.1", "--cv-seeds", "1", "--gammas", ",".join(f"{k / 2001:.6f}" for k in range(1, 2001))),
+                "gammas x cells of a histogram must be <= 90000000, got 2000 x 100001",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["tune", "bin"])

@@ -25,6 +25,7 @@ from countstrat import (
     prior_log_prob,
 )
 from countstrat import stratify
+from countstrat.counts import MAX_COUNT
 from countstrat.stratify import (
     _CAPPED_BLOCK,
     _SPLIT_STRIDE,
@@ -562,6 +563,22 @@ def test_pass_table_limit_splits_a_group_into_passes(monkeypatch):
         assert [g for g, _ in chunked] == [g for g, _ in whole] == list(range(5))
         for (_, got), (_, want) in zip(chunked, whole):
             assert [(h.tolist(), w.tolist()) for h, w in got] == [(h.tolist(), w.tolist()) for h, w in want]
+
+
+def test_a_histogram_over_one_pass_rejected_before_any_table(monkeypatch):
+    # one histogram's gammas share a pass: 90 gammas x MAX_COUNT + 1 cells is
+    # over _MAX_PASS_ENTRIES, 89 (and the default nine) fit
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(stratify, "log_tables", no_table)
+    row = np.ones(MAX_COUNT + 1, dtype=np.int64)
+    gammas = tuple(k / 91 for k in range(1, 91))
+    assert len(gammas) * len(row) > stratify._MAX_PASS_ENTRIES >= (len(gammas) - 1) * len(row)
+    with pytest.raises(ValidationError, match=f"gammas x cells of a histogram must be <= {stratify._MAX_PASS_ENTRIES}, got 90 x 1000001"):
+        optimal_blocks_per_gamma([np.ones(5, dtype=np.int64), row], gammas, MULTI)
+    with pytest.raises(AssertionError, match="a table was built"):
+        optimal_blocks_per_gamma([row], gammas[:-1], MULTI)
 
 
 @settings(max_examples=200)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,9 +256,10 @@ class TestLockstep:
         lambda2=st.sampled_from([0.0, 0.25, 1.0]),
         kind=st.sampled_from(LikelihoodKind),
         alpha=st.sampled_from([None, 1, 2, 6]),
+        data=st.data(),
     )
     def test_matches_the_scalar_trainer(
-        self, n_samples, max_count, seeds, epochs, batch_size, learning_rate, lambda1, lambda2, kind, alpha
+        self, n_samples, max_count, seeds, epochs, batch_size, learning_rate, lambda1, lambda2, kind, alpha, data
     ):
         cfg = TrainerConfig(epochs, learning_rate, batch_size, LossConfig(lambda1, lambda2))
         binning = BinningConfig(gamma=0.3, alpha=alpha, likelihood_kind=kind)
@@ -266,6 +268,8 @@ class TestLockstep:
             counts, z, _, _ = split_columns(SynthSpec(n_samples=n_samples, max_count=max_count, seed=seed), seed=seed)
             partition = fit_partition_columns(counts, binning)
             jobs += [synth_mod._Job(counts, z, partition, scheme, seed) for scheme in synth_mod.SCHEMES]
+        # in any order: the bin-loss rows need not come first or in runs
+        jobs = data.draw(st.permutations(jobs))
         fits, failed = synth_mod._train(jobs, cfg)
         for job, fit, epoch in zip(jobs, fits, failed):
             try:
@@ -366,6 +370,21 @@ class TestRunComparison:
             run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, range(10**8))
         with pytest.raises(AssertionError, match="a seed ran"):
             run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, range(MAX_N_SEEDS))
+
+    def test_win_counts_are_the_strict_per_seed_wins(self, monkeypatch):
+        rep = run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, (0, 1, 2))
+        stds = dict(rep.pooled_std_by_seed)
+        assert dict(rep.win_counts) == {s: sum(a < b for a, b in zip(stds[s], stds["none"])) for s in ("rr", "rs")}
+        # a tie is a win for neither scheme
+        table = {"none": (2.0, 2.0, 2.0, 2.0), "rr": (1.0, 2.0, 3.0, 1.5), "rs": (2.0, 2.0, 2.0, 2.0)}
+
+        def fake_seeds(spec, binning, trainer, seeds):
+            return [{s: SimpleNamespace(pooled_std=table[s][k]) for s in table} for k in seeds]
+
+        monkeypatch.setattr(synth_mod, "_compare_seeds", fake_seeds)
+        rep = run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, range(4))
+        assert rep.pooled_std_by_seed == tuple(table.items())
+        assert rep.win_counts == (("rr", 2), ("rs", 0))
 
     def test_json_dict_shape(self):
         rep = run_comparison(SMALL_SPEC, DEFAULT_SYNTH_BINNING, SMALL_TRAINER, (0,))

@@ -390,7 +390,8 @@ class TestCountBound:
 
 class TestSearchCells:
     """The train histograms of one search hold at most MAX_SEARCH_CELLS
-    cells, checked before any split is drawn."""
+    (cell, gamma) pairs, fewer gammas than the default's counted as many,
+    checked before any split is drawn."""
 
     @pytest.fixture(autouse=True)
     def no_split(self, monkeypatch):
@@ -399,13 +400,21 @@ class TestSearchCells:
 
         monkeypatch.setattr(tuning, "_shuffle", shuffle)
 
-    @pytest.mark.parametrize("spec", [GridSpec(n_seeds=DEFAULT_N_SEEDS + 1), GridSpec(ratios=(*DEFAULT_RATIOS, 0.5))])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(n_seeds=DEFAULT_N_SEEDS + 1),
+            GridSpec(ratios=(*DEFAULT_RATIOS, 0.5)),
+            GridSpec(gammas=(*DEFAULT_GAMMAS, 0.95)),
+            GridSpec(gammas=(0.5,), n_seeds=DEFAULT_N_SEEDS + 1),
+        ],
+    )
     def test_over_the_default_grid_at_max_count_rejected(self, spec):
         with pytest.raises(ValidationError, match=f"must be <= {MAX_SEARCH_CELLS}, got"):
             select_gamma_columns(np.array([0, MAX_COUNT]), spec)
 
     def test_default_grid_at_max_count_admitted(self):
-        assert MAX_SEARCH_CELLS == len(DEFAULT_RATIOS) * DEFAULT_N_SEEDS * (MAX_COUNT + 1)
+        assert MAX_SEARCH_CELLS == len(DEFAULT_RATIOS) * DEFAULT_N_SEEDS * (MAX_COUNT + 1) * len(DEFAULT_GAMMAS)
         with pytest.raises(AssertionError, match="a split was drawn"):
             select_gamma_columns(np.array([0, MAX_COUNT]), GridSpec())
 
