@@ -68,8 +68,10 @@ def _write_output(text: str, path: str | None) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # name the given path, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -5,14 +5,14 @@ into frequency histograms over the closed count range [0, C], with optional
 additive smoothing to densify sparse tails.
 
 CSV inputs are read as columns: a list of ids plus one int64 or float64
-array per numeric field (read_columns, shared with the predictions format
-in evaluate). Plain text, with no quote, carriage return or NUL and no line
-over the csv module's field size limit, is split with str methods and its
-fields converted by the same int/float calls the row loop makes. Any other
-text, and any text that fails a check on the way, is read again by the
-format's csv_rows loop, which is the only parser of quoted or CR input and
-the only source of error messages. Record lists (ingest_counts) are built
-from the columns.
+array per numeric field. count_columns, and prediction_columns in evaluate,
+first try _plain_columns: plain text, with no quote, carriage return or NUL
+and no line over the csv module's field size limit, is split with str
+methods and its fields converted by the same int/float calls the row loop
+makes. Any other text, and any text that fails a check on the way, is read
+again by the format's csv_rows loop, which is the only parser of quoted or
+CR input and the only source of error messages. Record lists
+(ingest_counts) are built from the columns.
 """
 
 from __future__ import annotations
@@ -100,53 +100,33 @@ def csv_rows(text: str, header: tuple[str, ...]):
     """Yield (line number, row) for every non-blank data row of CSV text after
     the shared checks: optional leading BOM, exact header, field count and a
     non-empty first-field id. Raises ParseError naming the line."""
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    rows = _checked(reader)
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     expected = ",".join(header)
     try:
-        first = next(rows)
-    except StopIteration:
-        raise ParseError(f"line 1: missing header '{expected}'") from None
-    if tuple(h.strip() for h in first) != header:
-        raise ParseError(f"line 1: expected header '{expected}', got {','.join(first)!r}")
-    n_fields = len(header)
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != n_fields:
-            raise ParseError(f"line {reader.line_num}: expected {n_fields} fields, got {len(row)}")
-        if not row[0]:
-            raise ParseError(f"line {reader.line_num}: empty id")
-        yield reader.line_num, row
-
-
-def _checked(reader):
-    try:  # csv.Error: e.g. a field over the csv module's size limit
-        yield from reader
-    except csv.Error as exc:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"line 1: missing header '{expected}'")
+        if tuple(h.strip() for h in first) != header:
+            raise ParseError(f"line 1: expected header '{expected}', got {','.join(first)!r}")
+        n_fields = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != n_fields:
+                raise ParseError(f"line {reader.line_num}: expected {n_fields} fields, got {len(row)}")
+            if not row[0]:
+                raise ParseError(f"line {reader.line_num}: empty id")
+            yield reader.line_num, row
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
 _DTYPES = {int: np.int64, float: np.float64}
 
 
-def read_columns(text: str, header: tuple[str, ...], kinds: tuple[type, ...], valid, read_rows) -> tuple:
-    """(ids, one array per field after the id) of CSV text with ``header``;
-    ``kinds`` gives each of those fields' conversion, int or float.
-
-    Plain text is split with str methods and converted with ``kinds``;
-    ``valid(ids, *arrays)`` then vets the columns. Any text this cannot
-    show the csv module reads alike, and any failure, goes to
-    ``read_rows(text)``: the format's csv_rows loop, which returns the same
-    columns or raises the error naming the line.
-    """
-    columns = _plain_columns(text, header, kinds)
-    if columns is not None and valid(*columns):
-        return columns
-    return read_rows(text)
-
-
 def _plain_columns(text: str, header: tuple[str, ...], kinds: tuple[type, ...]) -> tuple | None:
+    """(ids, one array per field after the id, converted by ``kinds``) of
+    plain CSV text with ``header``, or None where csv_rows must read it."""
     # without a quote, CR or NUL a csv row is its line split at commas, and
     # csv_rows skips only empty lines; no per-row list or tuple is built
     if '"' in text or "\r" in text or "\0" in text:
@@ -182,17 +162,16 @@ def count_columns(text: str) -> tuple[list[str], np.ndarray]:
     Raises ParseError on malformed rows or counts above MAX_COUNT (naming
     the line number) and ValidationError on duplicate ids or negative counts.
     """
-    return read_columns(text, CSV_HEADER, (int,), _valid_counts, _count_rows)
+    columns = _plain_columns(text, CSV_HEADER, (int,))
+    if columns is not None and counts_in_range(columns[1]) and len(set(columns[0])) == len(columns[0]):
+        return columns
+    return _count_rows(text)
 
 
 def ingest_counts(text: str) -> list[CountRecord]:
     """count_columns as a list of count records."""
     ids, counts = count_columns(text)
     return list(map(CountRecord, ids, counts.tolist()))
-
-
-def _valid_counts(ids: list[str], counts: np.ndarray) -> bool:
-    return counts_in_range(counts) and len(set(ids)) == len(ids)
 
 
 def _count_rows(text: str) -> tuple[list[str], np.ndarray]:

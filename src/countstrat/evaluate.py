@@ -6,11 +6,11 @@ deviation of its absolute errors; bins aggregate into pooled mean/std by
 sample-count weighting. The conventional global MAE/std (no binning) is
 reported alongside.
 
-Predictions are read as columns: prediction_columns parses the CSV with
-counts.read_columns into a list of ids, an int64 ground-truth array and a
-float64 prediction array, and evaluate_columns reports on the two arrays.
-The record-list forms (parse_predictions, evaluate) convert to or from
-the same arrays.
+Predictions are read as columns: prediction_columns parses the CSV, as
+counts.count_columns does, into a list of ids, an int64 ground-truth array
+and a float64 prediction array, and evaluate_columns reports on the two
+arrays. The record-list forms (parse_predictions, evaluate) convert to or
+from the same arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import MAX_COUNT, counts_in_range, csv_rows, is_integer, read_columns
+from .counts import MAX_COUNT, _plain_columns, counts_in_range, csv_rows, is_integer
 from .errors import ParseError, ValidationError
 from .jsonfmt import format_float
 from .stratify import Bin, Partition, locate_bins
@@ -65,18 +65,18 @@ class EvalReport:
 
 def prediction_columns(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse CSV with header ``id,count_true,count_pred`` into (ids, int64
-    ground truths, float64 predictions); read_columns says how."""
-    return read_columns(text, PRED_CSV_HEADER, (int, float), _valid_predictions, _prediction_rows)
+    ground truths, float64 predictions). A malformed row or a value out of
+    range raises ParseError or ValidationError naming the line."""
+    columns = _plain_columns(text, PRED_CSV_HEADER, (int, float))
+    if columns is not None and counts_in_range(columns[1]) and (np.abs(columns[2]) <= MAX_PREDICTION).all():
+        return columns
+    return _prediction_rows(text)
 
 
 def parse_predictions(text: str) -> list[PredictionRecord]:
     """prediction_columns as a list of prediction records."""
     ids, ys, y_hats = prediction_columns(text)
     return list(map(PredictionRecord, ids, ys.tolist(), y_hats.tolist()))
-
-
-def _valid_predictions(ids: list[str], ys: np.ndarray, y_hats: np.ndarray) -> bool:
-    return counts_in_range(ys) and bool((np.abs(y_hats) <= MAX_PREDICTION).all())
 
 
 def _prediction_rows(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:

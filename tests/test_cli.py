@@ -109,6 +109,21 @@ class TestBinCommand:
         assert main(argv) == 0
         assert read(out).startswith("{") and list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("command", ["bin", "eval"])
+    def test_failed_write_names_the_given_path(self, command, tmp_path, capsys):
+        # the temp file beside the output cannot be made, and is not named
+        name = {"bin": "x.json", "eval": "plot.csv"}[command]
+        out = str(tmp_path / "nodir" / name)
+        argv = {
+            "bin": ["bin", str(FIXTURES / "counts50.csv"), "--no-tune", "--gamma", "0.5", "-o", out],
+            "eval": ["eval", str(FIXTURES / "preds50.csv"), str(FIXTURES / "golden_partition.json"), "--plot-csv", out],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"nodir/{name}" in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_through_a_symlink_keeps_the_link(self, tmp_path):
         real, link = tmp_path / "real.json", tmp_path / "link.json"
         real.write_text("previous\n", encoding="utf-8")
@@ -566,6 +581,17 @@ class TestBadInputFiles:
         argv = ["eval", str(preds), str(FIXTURES / "golden_partition.json")]
         self.one_error_line(argv, capsys, "line 2: field larger")
 
+    @pytest.mark.parametrize("command", ["bin", "eval"])
+    def test_oversized_header_fails(self, command, tmp_path, capsys):
+        # the header's first field is over the csv module's limit
+        text = tmp_path / "in.csv"
+        header, row = {"bin": (",count", "a,1"), "eval": (",count_true,count_pred", "a,1,1")}[command]
+        text.write_text("id" + " " * csv.field_size_limit() + f"{header}\n{row}\n", encoding="utf-8")
+        argv = {
+            "bin": ["bin", str(text), "--no-tune", "--gamma", "0.5"],
+            "eval": ["eval", str(text), str(FIXTURES / "golden_partition.json")],
+        }[command]
+        self.one_error_line(argv, capsys, f"error: line 1: field larger than field limit ({csv.field_size_limit()})")
 
     @pytest.mark.parametrize("command", ["eval", "loss"])
     def test_huge_count_true_fails(self, command, tmp_path, capsys):

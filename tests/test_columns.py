@@ -124,3 +124,21 @@ def test_other_text_takes_the_row_loop(text, monkeypatch):
     with contextlib.suppress(StratError):  # the loop's own error; only the call is checked here
         count_columns(text)
     assert calls == [text]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"id,count_true,count_pred\na,{MAX_COUNT + 1},1\n",  # truth above the limit
+        "id,count_true,count_pred\na,-1,1\n",  # negative truth
+        "id,count_true,count_pred\na,1,1e101\n",  # prediction above MAX_PREDICTION
+        "id,count_true,count_pred\na,1,nan\n",  # not finite
+    ],
+)
+def test_other_prediction_text_takes_the_row_loop(text, monkeypatch):
+    calls = []
+    loop = evaluate._prediction_rows
+    monkeypatch.setattr(evaluate, "_prediction_rows", lambda t: calls.append(t) or loop(t))
+    with pytest.raises(StratError):  # each text fails only the check made on the plain columns
+        prediction_columns(text)
+    assert calls == [text]
