@@ -90,10 +90,17 @@ _CAPPED_BLOCK = 16
 # more group step: some 25 numpy calls whatever their size. On the
 # tune-wide benchmark's search pass (30 train histograms, 2,001 cells) the
 # multinomial rows split once, at cell 799 between gammas 0.2 and 0.3, and
-# score 24 M candidates instead of 65 M in one group; the Poisson rows
-# split twice and score 153 M instead of 233 M.
+# score 25 M candidates instead of 66 M in one group; the Poisson rows
+# split three times and score 154 M instead of 234 M.
 _SPLIT_STRIDE = 32
 _GROUP_STEP_COST = 12_000
+# A group tests and compacts its live starts only every _PRUNE_STRIDE cells
+# (and at every split check): a start kept a few cells past the cell where
+# its test would drop it only adds candidates that can never win. On the
+# tune-wide search pass (multinomial) this scores 25.3 M candidates instead
+# of 24.4 M but compacts 673 times instead of 1,531: 297 ms instead of 371
+# ms, best of 4 on a 2-vCPU VM.
+_PRUNE_STRIDE = 4
 # A pass's winning-start table holds one small integer per (histogram,
 # gamma, cell). _blocks_by_group fits a group of histograms in as many
 # passes as keep each table at or below this many entries; one histogram's
@@ -452,7 +459,8 @@ class _Group:
     live set. ``rows`` indexes the pass's rows, ``add`` holds their prior
     terms and ``cut`` their pruning thresholds; ``top`` and ``top_nbins`` are
     each (histogram, row)'s optimum over the cells so far. The first n
-    entries of ``live`` are the group's live starts, ascending, and ``acc``,
+    entries of ``live`` are the group's live starts, ascending (with starts
+    that a test at every cell would have dropped among them), and ``acc``,
     ``best`` and ``nbins`` hold, aligned with them, the left-to-right sum of
     cell_lg from each start to the current cell and each row's best score
     and bin count before it; all four keep room for 64 more."""
@@ -520,12 +528,17 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> np
     its own live set: every cell up to r enters it as a start, and a start
     leaves it once it is below by more than ``slack`` in every row of the
     group, which keeps it out of every later tie window of those rows. The
-    pass starts with one group of all rows, sorted by gamma. Every
-    _SPLIT_STRIDE cells a group of several rows reads its rows' own keep
-    masks and splits in two (_split_point) when that saves enough candidates
-    per cell: low gammas keep far more starts than high ones. Groups never
-    merge. Each row still sees every start its own test keeps, so the
-    winning starts do not depend on the grouping.
+    test runs only every _PRUNE_STRIDE cells and at every split check: a
+    start that stays live past the cell where its test failed trails every
+    later top of those rows by more than ``slack`` (the start after that
+    cell beats it by that margin from then on), so it can never win, tie
+    or enter _pick's exact-key window. The pass starts with one group of
+    all rows, sorted by gamma. Every _SPLIT_STRIDE cells a group of several
+    rows reads its rows' own keep masks and splits in two (_split_point)
+    when that saves enough candidates per cell: low gammas keep far more
+    starts than high ones. Groups never merge. Each row still sees every
+    start its own test keeps, so the winning starts depend neither on the
+    grouping nor on the prune stride.
     """
     m, n_hists = cells.n_cells, cells.n_hists
     # bound >= |score| of any partition of any prefix of any histogram, and
@@ -556,6 +569,7 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> np
     ]
     for r in range(m):
         check = (r + 1) % _SPLIT_STRIDE == 0
+        prune = check or (r + 1) % _PRUNE_STRIDE == 0
         stepped = []
         for grp in groups:
             if grp.n == len(grp.live):
@@ -585,6 +599,9 @@ def _dp(cells: _CellData, gammas: tuple[float, ...], kind: LikelihoodKind) -> np
                     picks[g, i] = _pick(cand[g, i], src_nbins[g, i], key)
             last[:, grp.rows, r] = starts[picks]
             grp.top_nbins = src_nbins[grp.hists, grp.cols, picks] + 1
+            if not prune:
+                stepped.append(grp)
+                continue
             keep = cand >= top[..., None] + grp.cut
             if check and len(grp.rows) > 1:
                 keep = keep.any(axis=0)
@@ -704,13 +721,12 @@ def _scored(hist: CountHistogram, his: np.ndarray, cfg: PriorConfig, kind: Likel
     return replace(partition, map_score=partition_log_score(hist, partition, cfg, kind))
 
 
-def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind, tables=None) -> Partition:
+def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKind) -> Partition:
     """MAP partition over all contiguous cell-boundary partitions.
 
     Deterministic: score ties prefer fewer bins, then the earlier last
     split. The returned map_score is recomputed with partition_log_score so
-    it matches direct rescoring bit for bit. ``tables`` (from log_tables,
-    large enough for hist) saves rebuilding them; results do not change.
+    it matches direct rescoring bit for bit.
     """
     if cfg.alpha is not None:
         n_cells = np.count_nonzero(hist.freqs)
@@ -720,7 +736,7 @@ def optimal_partition(hist: CountHistogram, cfg: PriorConfig, kind: LikelihoodKi
                 f"a fit capped at alpha {cfg.alpha} over {n_cells} cells scores {work} candidates "
                 f"(alpha * M(M + 1) / 2), above the limit {MAX_CAPPED_WORK}"
             )
-    cells = _CellData(hist.freqs, tables)
+    cells = _CellData(hist.freqs)
     rcfg = cfg.resolved(cells.n_cells)
     if rcfg.alpha >= cells.n_cells:
         his = next(_uncapped_blocks(cells, (cfg.gamma,), kind))[0][0]
@@ -738,9 +754,10 @@ def optimal_blocks_per_gamma(
     int64 arrays; the edges are those of optimal_partition(CountHistogram(C_g,
     row), PriorConfig(gamma), kind).bins. Rows with the same cell edges are
     fit together, in one DP pass per distinct edges, and yielded in the order
-    of their group's first row, each group after its pass. ``tables`` as in
-    optimal_partition, large enough for every row; the inputs (each row's
-    gammas x cells at most _MAX_PASS_ENTRIES) are checked before this returns."""
+    of their group's first row, each group after its pass. ``tables`` (from
+    log_tables, large enough for every row) saves building them; results do
+    not change. The inputs (each row's gammas x cells at most
+    _MAX_PASS_ENTRIES) are checked before this returns."""
     for gamma in gammas:
         PriorConfig(gamma)
     groups: dict[bytes, list[int]] = {}

@@ -175,7 +175,7 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
             raise ValidationError(f"need one feature per count, got {len(job.z)} features for {len(job.counts)} counts")
         if len(job.counts) != n:
             raise ValidationError(f"jobs trained in lockstep need one size, got {len(job.counts)} and {n} counts")
-    binned = np.array([job.scheme != "none" for job in jobs])  # the bin-loss rows
+    binned = np.flatnonzero([job.scheme != "none" for job in jobs])  # the bin-loss rows, as indices
     y = np.array([job.counts for job in jobs], dtype=float)
     with np.errstate(over="ignore"):  # a non-finite feature makes its job's scale inf or NaN too
         scales = [max(float(np.abs(job.z).mean()), 1e-9) for job in jobs]
@@ -183,9 +183,9 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
         raise ValidationError("features must be finite, and so must their mean magnitude (the probe's scale)")
     u = np.array([job.z / scale for job, scale in zip(jobs, scales)])
     # plans hold positions into the columns; edges are each sample's (clamped) bin, one row per bin-loss job
-    assignments = [assign_columns(range(n), job.counts, job.partition) if b else None for job, b in zip(jobs, binned)]
-    lo, hi = np.zeros((2, int(binned.sum()), n))
-    for i, j in enumerate(np.flatnonzero(binned)):
+    assignments = [assign_columns(range(n), job.counts, job.partition) if job.scheme != "none" else None for job in jobs]
+    lo, hi = np.zeros((2, len(binned), n))
+    for i, j in enumerate(binned):
         _, lo[i], hi[i] = routed_edges(jobs[j].partition.bins, jobs[j].counts)
     lam1, lam2, bs = cfg.loss.lambda1, cfg.loss.lambda2, cfg.batch_size
 
@@ -221,14 +221,14 @@ def _train(jobs: list[_Job], cfg: TrainerConfig) -> tuple[list[ToyFit], list[int
                 err = pk - yk
                 grad = np.copysign(1.0, err)
                 grad[err == 0.0] = 0.0
-                if binned.any():
+                if len(binned):
                     grad[binned] += lam2 * interval_loss_subgradients(yk[binned], pk[binned], los[:, cols], his[:, cols], lam1)
                 np.multiply(grad, uk, out=batch_sums[0, :, 1 : m + 1])
                 batch_sums[1, :, 1 : m + 1] = grad
                 params -= lr * np.cumsum(batch_sums[:, :, : m + 1], axis=2)[:, :, -1] / m
             terms = epoch_terms[:, 1:]
             np.abs(pred - ys, out=terms)
-            if binned.any():
+            if len(binned):
                 terms[binned] += lam2 * interval_losses(ys[binned], pred[binned], los, his, lam1)
             losses[:, epoch] = np.cumsum(epoch_terms, axis=1)[:, -1] / n
             finite = np.isfinite(params).all(axis=0) & np.isfinite(losses[:, epoch])

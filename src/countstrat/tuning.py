@@ -19,7 +19,11 @@ is scored from its blocks in test order as they arrive, into one (seed,
 ratio, gamma) array of held-out log-likelihoods. The mean table, the
 per-ratio ranks and the index sums all come from that array; each mean
 sums its seeds left to right. The log tables of every fit are slices of
-one pair built per search and sized by the whole input.
+one pair built per search and sized by the whole input. optimal_bins
+fits the smoothed histogram of all the counts as one more row of the
+same pass (with beta >= 1 it shares the edges of every train side that
+kept the maximum) and keeps its bins at the selected gamma, so a tuned
+fit makes one pass where the search does.
 split_records and held_out_log_likelihood are the record-list forms of
 the same split and scorer.
 """
@@ -34,7 +38,7 @@ import numpy as np
 from .counts import MAX_COUNT, CountRecord, check_integer, count_histogram, counts_in_range, record_counts, smooth
 from .errors import ValidationError
 from .jsonfmt import format_float
-from .stratify import LikelihoodKind, Partition, PriorConfig, log_tables, optimal_blocks_per_gamma, optimal_partition
+from .stratify import LikelihoodKind, Partition, PriorConfig, _scored, log_tables, optimal_blocks_per_gamma
 
 DEFAULT_GAMMAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RATIOS = (0.1, 0.2, 0.25)
@@ -157,13 +161,11 @@ def descending_rank_indices(means: list[float], gammas: tuple[float, ...]) -> li
     return pos
 
 
-def _search(counts: np.ndarray, spec: GridSpec):
+def _search(counts: np.ndarray, spec: GridSpec, fit_all: bool = False):
     """The grid search of select_gamma_columns over an int64 count column;
-    returns (selection, the log tables every fit of the search sliced).
-
-    The tables are sized like the smoothed histogram of all the records,
-    which no train side exceeds, so the final fit on all of them reuses
-    them too. They belong to this call and are freed with its result.
+    returns (selection, blocks). With fit_all, the smoothed histogram of
+    all the counts is fit as one more row of the search's pass, and blocks
+    holds its (upper edges, masses) per gamma; else blocks is None.
     """
     if not len(counts):
         raise ValidationError("records must be non-empty")
@@ -182,9 +184,15 @@ def _search(counts: np.ndarray, spec: GridSpec):
             train, test = _split_shuffle(perm, ratio)
             trains.append(np.bincount(counts[train]) + spec.beta)
             tests.append(counts[test])
+    if fit_all:
+        trains.append(np.bincount(counts) + spec.beta)
     scores = np.empty((spec.n_seeds, n_ratios, n_gammas))  # held-out log-likelihoods
+    full = None
     for i, blocks in optimal_blocks_per_gamma(trains, spec.gammas, spec.likelihood_kind, tables):
-        scores[divmod(i, n_ratios)] = _held_out(tests[i], blocks, tables[0])
+        if i == len(tests):
+            full = blocks
+        else:
+            scores[divmod(i, n_ratios)] = _held_out(tests[i], blocks, tables[0])
     # cumsum adds the seeds left to right, as a scalar loop would
     means = (np.cumsum(scores, axis=0)[-1] / spec.n_seeds).tolist()  # [ratio][gamma]
     sums = np.sum([descending_rank_indices(row, spec.gammas) for row in means], axis=0).tolist()
@@ -194,7 +202,7 @@ def _search(counts: np.ndarray, spec: GridSpec):
         table=tuple((g, r, means[ri][gi]) for gi, g in enumerate(spec.gammas) for ri, r in enumerate(spec.ratios)),
         index_sums=tuple(zip(spec.gammas, sums)),
     )
-    return selection, tables
+    return selection, full
 
 
 def select_gamma(records: list[CountRecord], spec: GridSpec) -> GammaSelection:
@@ -220,11 +228,13 @@ def optimal_bins(records: list[CountRecord], spec: GridSpec) -> Partition:
 
 
 def optimal_bins_columns(counts: np.ndarray, spec: GridSpec) -> Partition:
-    """Grid-search gamma, then fit uncapped bins on all the counts; equal
-    to fit_partition_columns at the selected gamma."""
-    selection, tables = _search(counts, spec)
+    """Grid-search gamma and fit uncapped bins on all the counts in the
+    search's pass; equal to fit_partition_columns at the selected gamma."""
+    selection, blocks = _search(counts, spec, fit_all=True)
     hist = smooth(count_histogram(counts), spec.beta)
-    return optimal_partition(hist, PriorConfig(selection.gamma_best), spec.likelihood_kind, tables)
+    his = blocks[spec.gammas.index(selection.gamma_best)][0]
+    cfg = PriorConfig(selection.gamma_best, int(np.count_nonzero(hist.freqs)))  # alpha resolved as in optimal_partition
+    return _scored(hist, his, cfg, spec.likelihood_kind)
 
 
 def tuning_report_json_dict(selection: GammaSelection) -> dict:

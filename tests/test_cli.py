@@ -575,6 +575,25 @@ class TestBadInputFiles:
         finally:
             tracemalloc.stop()
 
+    def test_full_data_histogram_over_one_pass_fails_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        # 45 distinct counts with beta = 0: every train side holds out 12 of
+        # them, so only the full-data histogram, a row of the tuned bin's
+        # pass, is over a limit of 40 cells per gamma; tune has no such row
+        counts = tmp_path / "c.csv"
+        counts.write_text("id,count\n" + "".join(f"r{c},{c}\n" for c in range(45)), encoding="utf-8")
+        gammas = ",".join(str(k / 91) for k in range(1, 91))
+        grid = [str(counts), "--gammas", gammas, "--ratios", "0.25", "--cv-seeds", "2", "--beta", "0"]
+        monkeypatch.setattr(stratify, "_MAX_PASS_ENTRIES", 40 * 90)
+        real_dp = stratify._dp
+
+        def no_pass(*args):
+            raise AssertionError("a DP pass ran")
+
+        monkeypatch.setattr(stratify, "_dp", no_pass)
+        self.one_error_line(["bin", *grid], capsys, f"gammas x cells of a histogram must be <= {40 * 90}, got 90 x 45")
+        monkeypatch.setattr(stratify, "_dp", real_dp)
+        assert main(["tune", *grid]) == 0
+
     def test_oversized_predictions_field_fails(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"
         preds.write_text("id,count_true,count_pred\n" + "a" * 200_000 + ",1,1\n", encoding="utf-8")

@@ -490,23 +490,28 @@ def test_stack_must_share_edges():
     others=st.lists(st.floats(0.01, 0.99), max_size=5, unique=True),
     at=st.integers(0, 5),
     stride=st.sampled_from((1, 3, _SPLIT_STRIDE)),
+    prune=st.sampled_from((1, 2, 4, 7)),
     cost=st.sampled_from((0, math.inf)),
     kind=st.sampled_from((MULTI, POIS)),
 )
-def test_grouped_pass_rows_equal_one_row_passes(n_rows, length, data, others, at, stride, cost, kind):
+def test_grouped_pass_rows_equal_one_row_passes(n_rows, length, data, others, at, stride, prune, cost, kind):
     # cost 0 splits a group of several rows at every check, inf never; up
     # to 64 cells (mass 1,920) near ties are re-ranked exactly, and 0.5
-    # makes merging two equal cells an exact tie
+    # makes merging two equal cells an exact tie. The one-row reference
+    # passes prune at every cell.
     rows = [data.draw(st.lists(st.integers(1, 30), min_size=length, max_size=length)) for _ in range(n_rows)]
     gammas = tuple(others[:at]) + (0.5,) + tuple(others[at:])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stratify, "_SPLIT_STRIDE", stride)
+        mp.setattr(stratify, "_PRUNE_STRIDE", prune)
         mp.setattr(stratify, "_GROUP_STEP_COST", cost)
         last = _dp(_CellData(rows), gammas, kind)
     assert last.shape == (n_rows, len(gammas), length)
-    for g, row in enumerate(rows):
-        for k, gamma in enumerate(gammas):
-            assert last[g, k].tolist() == _dp(_CellData([row]), (gamma,), kind)[0, 0].tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stratify, "_PRUNE_STRIDE", 1)
+        for g, row in enumerate(rows):
+            for k, gamma in enumerate(gammas):
+                assert last[g, k].tolist() == _dp(_CellData([row]), (gamma,), kind)[0, 0].tolist()
 
 
 @settings(max_examples=60)

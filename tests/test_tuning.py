@@ -250,6 +250,20 @@ class TestSelectGammaPinned:
         assert sha256(tuning_report_json_dict(select_gamma(self.records(), spec))) == report_digest
         assert sha256(partition_to_json_dict(optimal_bins(self.records(), spec), spec.beta)) == partition_digest
 
+    # sha256 of the bin partition written when the final fit was a second
+    # DP pass after the search's; with beta = 1 the full-data histogram
+    # shares the edges of every train side that kept the maximum
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            (LikelihoodKind.MULTINOMIAL, "c8232aa445899e38a893d8289cb98463b39bf53baa1a1ba21521a35b48a5894c"),
+            (LikelihoodKind.POISSON, "1be2e64aaa882ed85c753d7fad4f0ffad3d056e9ccb3bf1825b5caa89c7dba92"),
+        ],
+    )
+    def test_smoothed_partition_digest(self, kind, digest):
+        spec = GridSpec(n_seeds=3, beta=1, likelihood_kind=kind)
+        assert sha256(partition_to_json_dict(optimal_bins(self.records(), spec), spec.beta)) == digest
+
 
 def reference_selection(records, spec):
     """(gamma_best, table) of select_gamma from the record-list pieces only:
@@ -329,6 +343,22 @@ def test_one_dp_pass_per_search(monkeypatch):
     assert passes == [spec.n_seeds * len(spec.ratios)]
 
 
+def test_one_dp_pass_per_tuned_fit(monkeypatch):
+    # the records of test_one_dp_pass_per_search: the full-data histogram
+    # ends at 40 too, so it is one more row of the search's one pass
+    passes = []
+    real_dp = stratify._dp
+
+    def counting_dp(cells, gammas, kind):
+        passes.append(cells.n_hists)
+        return real_dp(cells, gammas, kind)
+
+    monkeypatch.setattr(stratify, "_dp", counting_dp)
+    spec = GridSpec(beta=1)
+    optimal_bins(make_records([0, 1, 2, 5, 8, 9, 11] + [40] * 13), spec)
+    assert passes == [spec.n_seeds * len(spec.ratios) + 1]
+
+
 def test_capped_fit_makes_no_dp_call(monkeypatch):
     # the capped pass is its own loop; an uncapped fit is one _dp pass
     passes = []
@@ -356,6 +386,25 @@ class TestOptimalBins:
         want = optimal_partition(hist, PriorConfig(0.5), spec.likelihood_kind)
         assert got == want
         assert got.gamma_used == 0.5
+
+    @pytest.mark.parametrize("beta", [0, 1])
+    @pytest.mark.parametrize("kind", list(LikelihoodKind))
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            # the maximum 60 occurs once: splits that hold it out end at a
+            # lower count (beta = 1) or lack its cell (beta = 0), so their
+            # edges differ from the full-data histogram's
+            [0, 0, 1, 2, 2, 3, 5, 8, 9, 9, 13, 20, 21, 34, 60],
+            [3, 3, 3, 4, 7, 7, 10, 12, 12, 12, 15, 15],
+        ],
+    )
+    def test_equals_direct_fit_at_selected_gamma(self, counts, kind, beta):
+        recs = make_records(counts)
+        spec = GridSpec(gammas=(0.1, 0.3, 0.5, 0.7, 0.9), ratios=(0.2, 0.25), n_seeds=3, beta=beta, likelihood_kind=kind)
+        hist = smooth(build_histogram(recs), beta)
+        want = optimal_partition(hist, PriorConfig(select_gamma(recs, spec).gamma_best), kind)
+        assert optimal_bins(recs, spec) == want
 
     def test_deterministic_across_runs(self):
         recs = make_records([0, 1, 1, 4, 4, 4, 9, 16, 25, 36])
